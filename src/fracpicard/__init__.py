@@ -69,6 +69,7 @@ from .solver import (
     check_contraction,
     chebyshev_norm,
     picard_step,
+    pointwise,
     reconstruct_x,
     residual_caputo,
     select_theta,
@@ -135,6 +136,7 @@ __all__ = [
     "parse",
     "parse_config",
     "picard_step",
+    "pointwise",
     "reconstruct_x",
     "reference_problem",
     "residual_caputo",

@@ -32,7 +32,7 @@ from .sampling import halton_points
 from .solver import (
     ProblemSpec,
     SolverConfig,
-    _eval_rhs,
+    _eval_grid,
     _weight_vector,
     bielecki_norm,
     check_contraction,
@@ -220,10 +220,8 @@ def check_anchor_condition(spec: ProblemSpec, R: float, samples: int) -> AnchorC
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
     pts = (2.0 * halton_points(samples, spec.dim) - 1.0) * R
-    worst = 0.0
-    for row, x in enumerate(pts):
-        value = _eval_rhs(spec, 0.0, x, x, row)
-        worst = max(worst, float(np.linalg.norm(value - x)))
+    value = _eval_grid(spec, np.zeros((samples, 1)), pts, pts)
+    worst = float(np.max(np.linalg.norm(value - pts, axis=1)))
     return AnchorCheck(ok=worst <= _ANCHOR_TOL, worst_violation=worst)
 
 
@@ -243,13 +241,11 @@ def _solve_member(
     index: int,
 ) -> tuple[GridFunction, GridFunction]:
     grid = weights.grid
-    nodes = grid.nodes()
+    t = grid.nodes()[:, None]
     z = GridFunction.constant(grid, anchor)
     for _ in range(config.max_iter):
         ix = frac_integral(weights, z)
-        out = np.empty_like(z.values)
-        for k in range(grid.n + 1):
-            out[k] = _eval_rhs(spec, float(nodes[k]), anchor + ix.values[k], z.values[k], k)
+        out = np.array(_eval_grid(spec, t, anchor + ix.values, z.values))
         drift = float(np.linalg.norm(out[0] - anchor))
         if drift > _DRIFT_TOL:
             raise AnchorConditionError(
@@ -407,6 +403,23 @@ def family_hausdorff_bound(pair: ProblemPair, theta: float) -> float:
     return pair.k_ml * T**alpha / (math.gamma(alpha + 1.0) * (1.0 - q))
 
 
+def _sampled_gaps(
+    spec_f: ProblemSpec, spec_g: ProblemSpec, radius: float, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times and gap magnitudes ``|f - g|`` for the gap estimators."""
+    if radius <= 0.0:
+        raise DomainError(f"radius must be > 0, got {radius}")
+    if samples < 1:
+        raise DomainError(f"samples must be positive, got {samples}")
+    d = spec_f.dim
+    pts = halton_points(samples, 1 + 2 * d)
+    t = pts[:, :1] * spec_f.T
+    x = (2.0 * pts[:, 1 : 1 + d] - 1.0) * radius
+    y = (2.0 * pts[:, 1 + d :] - 1.0) * radius
+    gap = _eval_grid(spec_f, t, x, y) - _eval_grid(spec_g, t, x, y)
+    return t[:, 0], np.linalg.norm(gap, axis=1)
+
+
 def estimate_eta_sup(
     spec_f: ProblemSpec, spec_g: ProblemSpec, radius: float, samples: int = 512
 ) -> float:
@@ -426,20 +439,8 @@ def estimate_eta_sup(
     Returns:
         ``1.1 * max |f - g|`` over the samples.
     """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be > 0, got {radius}")
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
-    d = spec_f.dim
-    pts = halton_points(samples, 1 + 2 * d)
-    worst = 0.0
-    for row in pts:
-        t = float(row[0]) * spec_f.T
-        x = (2.0 * row[1 : 1 + d] - 1.0) * radius
-        y = (2.0 * row[1 + d :] - 1.0) * radius
-        gap = _eval_rhs(spec_f, t, x, y, 0) - _eval_rhs(spec_g, t, x, y, 0)
-        worst = max(worst, float(np.linalg.norm(gap)))
-    return _SAMPLE_SAFETY * worst
+    _, gaps = _sampled_gaps(spec_f, spec_g, radius, samples)
+    return _SAMPLE_SAFETY * float(np.max(gaps))
 
 
 def estimate_ml_gap(
@@ -456,19 +457,7 @@ def estimate_ml_gap(
     """
     if theta <= 0.0:
         raise DomainError(f"theta must be > 0, got {theta}")
-    if radius <= 0.0:
-        raise DomainError(f"radius must be > 0, got {radius}")
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
-    d = spec_f.dim
+    times, gaps = _sampled_gaps(spec_f, spec_g, radius, samples)
     alpha = spec_f.alpha
-    pts = halton_points(samples, 1 + 2 * d)
-    worst = 0.0
-    for row in pts:
-        t = float(row[0]) * spec_f.T
-        x = (2.0 * row[1 : 1 + d] - 1.0) * radius
-        y = (2.0 * row[1 + d :] - 1.0) * radius
-        gap = _eval_rhs(spec_f, t, x, y, 0) - _eval_rhs(spec_g, t, x, y, 0)
-        weight = mittag_leffler(alpha, theta * t**alpha)
-        worst = max(worst, float(np.linalg.norm(gap)) / weight)
-    return _SAMPLE_SAFETY * worst
+    weights = np.array([mittag_leffler(alpha, theta * t**alpha) for t in times.tolist()])
+    return _SAMPLE_SAFETY * float(np.max(gaps / weights))

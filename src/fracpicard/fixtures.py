@@ -68,8 +68,8 @@ class Fixture:
     metadata: Mapping[str, float] = field(default_factory=dict)
 
 
-def _reference_rhs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _SQRT_PI / 4.0 - math.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
+def _reference_rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _SQRT_PI / 4.0 - np.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
 
 
 def _reference_exact(t: float) -> np.ndarray:
@@ -108,8 +108,8 @@ def reference_problem() -> Fixture:
     )
 
 
-def _shifted_rhs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _SQRT_PI / 2.0 - math.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
+def _shifted_rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _SQRT_PI / 2.0 - np.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
 
 
 def _shifted_exact(t: float) -> np.ndarray:
@@ -149,8 +149,8 @@ def shifted_reference_problem() -> Fixture:
     )
 
 
-def _comparison_rhs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return math.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
+def _comparison_rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sqrt(t) / 2.0 + (x + np.abs(y)) / 2.0
 
 
 def comparison_problem() -> Fixture:
@@ -197,7 +197,7 @@ def linear_problem(lam: float, alpha: float, x0: float, T: float) -> Fixture:
     """
     lam = float(lam)
 
-    def rhs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return lam * x
 
     def exact(t: float) -> np.ndarray:

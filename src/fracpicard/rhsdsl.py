@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import EvalError, FracpicardError, ParseError
 from .sampling import halton_points
 from .specfun import mittag_leffler
 
@@ -402,12 +402,84 @@ def to_source(e: Expr) -> str:
     return _print(e, _PREC_ADD)
 
 
-def as_rhs(exprs: Sequence[Expr]) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
-    """Lift scalar expressions, one per component, to a vector callback.
+# A compiled tree maps block arguments ``t``, ``x``, ``y`` of shape ``(m,)``
+# to its value (an array, or a scalar when it depends on no variable), and
+# sets ``bad[k]`` for every node ``k`` at which any intermediate value is
+# not finite.  Every fault ``evaluate`` guards against leaves one there
+# under IEEE arithmetic (x/0 is infinite or NaN, the square root of a
+# negative and a negative base to a non-integer power are NaN, zero to a
+# negative power and overflow are infinite), so flagged nodes are the only
+# ones that need ``evaluate`` to run again.
+_Compiled = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], Union[np.ndarray, float]]
 
-    Component ``i`` of the result evaluates ``exprs[i]`` at
-    ``(t, x[i], y[i])``: components couple through the solver, not
-    through each other.
+_NUMPY_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_NUMPY_UNARY = {"sqrt": np.sqrt, "abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _ml_block(order: float, z: np.ndarray) -> np.ndarray:
+    out = np.empty(z.shape)
+    for k, zk in enumerate(z.tolist()):
+        try:
+            out[k] = mittag_leffler(order, zk)
+        except FracpicardError:
+            out[k] = math.nan  # flagged, so evaluate raises the EvalError
+    return out
+
+
+def _compile(e: Expr) -> _Compiled:
+    if isinstance(e, (Num, Const)):
+        value = e.value if isinstance(e, Num) else _CONSTANTS[e.name]
+        fn = lambda t, x, y, bad: value
+    elif isinstance(e, Var):
+        index = _VARIABLES.index(e.name)
+        fn = lambda t, x, y, bad: (t, x, y)[index]
+    elif isinstance(e, Neg):
+        operand = _compile(e.operand)
+        fn = lambda t, x, y, bad: np.negative(operand(t, x, y, bad))
+    elif isinstance(e, BinOp) and e.op in _NUMPY_BINARY:
+        op = _NUMPY_BINARY[e.op]
+        left, right = _compile(e.left), _compile(e.right)
+        fn = lambda t, x, y, bad: op(left(t, x, y, bad), right(t, x, y, bad))
+    elif isinstance(e, Call) and e.func == "ml":
+        order, arg = e.args[0], _compile(e.args[1])
+        assert isinstance(order, Num)
+        fn = lambda t, x, y, bad: _ml_block(
+            order.value, np.broadcast_to(arg(t, x, y, bad), bad.shape)
+        )
+    elif isinstance(e, Call) and e.func in _NUMPY_UNARY:
+        func, arg = _NUMPY_UNARY[e.func], _compile(e.args[0])
+        fn = lambda t, x, y, bad: func(arg(t, x, y, bad))
+    else:
+        fn = lambda t, x, y, bad: math.nan  # evaluate raises for what it cannot evaluate
+
+    def checked(t, x, y, bad):
+        value = fn(t, x, y, bad)
+        np.logical_or(bad, ~np.isfinite(value), out=bad)
+        return value
+
+    return checked
+
+
+def as_rhs(exprs: Sequence[Expr]) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Lift scalar expressions, one per component, to a block callback.
+
+    The callback follows the ``ProblemSpec.rhs`` contract: ``t`` has
+    shape ``(m, 1)``, ``x`` and ``y`` have shape ``(m, d)`` with
+    ``d = len(exprs)``, and the result has shape ``(m, d)``.  Component
+    ``i`` of row ``k`` evaluates ``exprs[i]`` at ``(t[k, 0], x[k, i],
+    y[k, i])``: components couple through the solver, not through each
+    other.
+
+    Each tree is compiled once into numpy operations over the whole
+    block.  Nodes where an intermediate value is not finite, which every
+    fault :func:`evaluate` guards against (division by zero, square root
+    of a negative, zero to a negative power, negative base to a
+    non-integer power, overflow, a failing ``ml``) produces, are
+    evaluated again, in node order, by :func:`evaluate`.  So a fault
+    raises the same :class:`EvalError` with the same span as evaluating
+    node by node would, and nodes without faults never walk the tree.
+    Re-evaluation stops at the first node whose value is not finite;
+    the other nodes re-evaluated after it are left NaN.
 
     Args:
         exprs: parsed trees, one per state component.
@@ -418,11 +490,23 @@ def as_rhs(exprs: Sequence[Expr]) -> Callable[[float, np.ndarray, np.ndarray], n
     if len(exprs) == 0:
         raise ValueError("at least one expression is required")
     trees = tuple(exprs)
+    compiled = tuple(_compile(tree) for tree in trees)
 
-    def rhs(t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.array(
-            [evaluate(tree, float(t), float(x[i]), float(y[i])) for i, tree in enumerate(trees)]
-        )
+    def rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        times = t[:, 0]
+        out = np.empty(x.shape)
+        bad = np.zeros(x.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            for i, fn in enumerate(compiled):
+                out[:, i] = fn(times, x[:, i], y[:, i], bad[:, i])
+        rows = np.flatnonzero(bad.any(axis=1))
+        for j, k in enumerate(rows.tolist()):
+            for i in np.flatnonzero(bad[k]).tolist():
+                out[k, i] = evaluate(trees[i], float(times[k]), float(x[k, i]), float(y[k, i]))
+            if not np.isfinite(out[k]).all():
+                out[rows[j + 1 :]] = math.nan
+                break
+        return out
 
     return rhs
 

@@ -18,6 +18,7 @@ The solver iterates exactly that map on a uniform grid and reconstructs
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -43,6 +44,7 @@ __all__ = [
     "solve",
     "reconstruct_x",
     "residual_caputo",
+    "pointwise",
 ]
 
 # Safety factor applied to the sampled magnitude of f(t, 0, 0).
@@ -57,8 +59,12 @@ class ProblemSpec:
         alpha: Caputo order, in ``(0, 1)``.
         T: right endpoint of the time interval, ``> 0``.
         x0: initial value, a scalar or length-``d`` vector.
-        rhs: callback ``f(t, x, y) -> R^d`` receiving the time, the state
-            vector, and the current derivative vector.
+        rhs: callback ``f(t, x, y)`` evaluated on a block of ``m`` nodes
+            at once: ``t`` has shape ``(m, 1)``, the states ``x`` and the
+            derivatives ``y`` have shape ``(m, d)``, and the result has
+            shape ``(m, d)``, row ``k`` being ``f`` at node ``k``.  Write
+            it with numpy operations (``lambda t, x, y: 0.5 * x``), or
+            lift a per-node callable with :func:`pointwise`.
         M1: Lipschitz constant of ``f`` in ``t``, ``>= 0``.
         M2: Lipschitz constant of ``f`` in ``x``, ``> 0``.
         M3: Lipschitz constant of ``f`` in ``y``, in ``(0, 1)``.  This is
@@ -69,7 +75,7 @@ class ProblemSpec:
     alpha: float
     T: float
     x0: np.ndarray
-    rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     M1: float
     M2: float
     M3: float
@@ -203,15 +209,46 @@ class Residuals:
     caputo: GridFunction = field(repr=False)
 
 
-def _eval_rhs(spec: ProblemSpec, t: float, x: np.ndarray, y: np.ndarray, node: int) -> np.ndarray:
-    value = np.atleast_1d(np.asarray(spec.rhs(t, x, y), dtype=float))
-    if value.shape != (spec.dim,):
+def pointwise(
+    f: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Lift a per-node callable to the block contract of ``ProblemSpec.rhs``.
+
+    ``f(t, x, y)`` receives one node at a time, a float time and
+    length-``d`` state and derivative vectors, and returns a scalar or a
+    length-``d`` vector::
+
+        spec = ProblemSpec(..., rhs=pointwise(lambda t, x, y: np.array([math.cos(t)])))
+
+    The lifted callback makes one Python call per node; where speed
+    matters, write the right-hand side with numpy operations instead.
+    """
+
+    def rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        rows = [f(float(s), xk, yk) for s, xk, yk in zip(t[:, 0], x, y)]
+        return np.stack([np.atleast_1d(np.asarray(row, dtype=float)) for row in rows])
+
+    return rhs
+
+
+def _eval_grid(spec: ProblemSpec, t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``spec.rhs`` on a block of nodes, checked for shape and finiteness.
+
+    ``t`` has shape ``(m, 1)`` and ``x``, ``y`` shape ``(m, d)``; the
+    result has shape ``(m, d)``.  A non-finite row raises
+    :class:`RhsEvaluationError` naming the first such node.
+    """
+    value = np.asarray(spec.rhs(t, x, y), dtype=float)
+    if value.shape != x.shape:
         raise RhsEvaluationError(
-            f"rhs returned shape {value.shape} at node {node} (t={t:g}), "
-            f"expected ({spec.dim},)"
+            f"rhs returned shape {value.shape} for {x.shape[0]} nodes, expected {x.shape}"
         )
-    if not np.all(np.isfinite(value)):
-        raise RhsEvaluationError(f"rhs returned a non-finite value at node {node} (t={t:g})")
+    finite = np.isfinite(value).all(axis=1)
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise RhsEvaluationError(
+            f"rhs returned a non-finite value at node {node} (t={t[node, 0]:g})"
+        )
     return value
 
 
@@ -242,10 +279,8 @@ def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
         A :class:`ContractionReport`.
     """
     grid = UniformGrid(spec.T, n)
-    zero = np.zeros(spec.dim)
-    sup = 0.0
-    for k, t in enumerate(grid.nodes()):
-        sup = max(sup, float(np.linalg.norm(_eval_rhs(spec, t, zero, zero, k))))
+    zero = np.zeros((n + 1, spec.dim))
+    sup = float(np.max(np.linalg.norm(_eval_grid(spec, grid.nodes()[:, None], zero, zero), axis=1)))
     K = _K_SAFETY * sup
 
     q_global = spec.M2 * spec.T**spec.alpha / math.gamma(spec.alpha + 1.0) + spec.M3
@@ -268,8 +303,17 @@ def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def _weight_vector(grid: UniformGrid, alpha: float, theta: float) -> np.ndarray:
-    return np.array([bielecki_weight(alpha, theta, t) for t in grid.nodes()])
+    """Norm weights ``E_alpha(theta * t_k**alpha)`` on ``grid``, built once per key.
+
+    Every norm on one grid with one ``(alpha, theta)`` shares the same
+    read-only array, so a solve and all distances measured after it pay
+    for the Mittag-Leffler series once.
+    """
+    wt = np.array([bielecki_weight(alpha, theta, t) for t in grid.nodes()])
+    wt.flags.writeable = False
+    return wt
 
 
 def bielecki_norm(z: GridFunction, alpha: float, theta: float) -> float:
@@ -313,10 +357,7 @@ def picard_step(spec: ProblemSpec, weights: FracWeights, z: GridFunction) -> Gri
     if z.dim != spec.dim:
         raise DomainError(f"z has dimension {z.dim}, problem has {spec.dim}")
     ix = frac_integral(weights, z)
-    nodes = z.grid.nodes()
-    out = np.empty_like(z.values)
-    for k in range(z.grid.n + 1):
-        out[k] = _eval_rhs(spec, float(nodes[k]), spec.x0 + ix.values[k], z.values[k], k)
+    out = _eval_grid(spec, z.grid.nodes()[:, None], spec.x0 + ix.values, z.values)
     return GridFunction(z.grid, out)
 
 
@@ -382,8 +423,8 @@ def solve(spec: ProblemSpec, config: SolverConfig) -> SolveReport:
         if z.dim != spec.dim:
             raise DomainError(f"initial guess has dimension {z.dim}, problem has {spec.dim}")
     else:
-        z0 = _eval_rhs(spec, 0.0, spec.x0, np.zeros(spec.dim), 0)
-        z = GridFunction.constant(grid, z0)
+        z0 = _eval_grid(spec, np.zeros((1, 1)), spec.x0[None, :], np.zeros((1, spec.dim)))
+        z = GridFunction.constant(grid, z0[0])
 
     step_norms: list[float] = []
     ratios: list[float] = []
@@ -433,15 +474,10 @@ def residual_caputo(spec: ProblemSpec, x: GridFunction, z: GridFunction) -> Resi
     x.require_same_grid(z)
     if x.dim != spec.dim:
         raise DomainError(f"x has dimension {x.dim}, problem has {spec.dim}")
-    nodes = x.grid.nodes()
+    t = x.grid.nodes()[:, None]
     dx = caputo_l1(spec.alpha, x)
-
-    alg = np.empty_like(z.values)
-    cap = np.empty_like(z.values)
-    for k in range(x.grid.n + 1):
-        t = float(nodes[k])
-        alg[k] = z.values[k] - _eval_rhs(spec, t, x.values[k], z.values[k], k)
-        cap[k] = dx.values[k] - _eval_rhs(spec, t, x.values[k], dx.values[k], k)
+    alg = z.values - _eval_grid(spec, t, x.values, z.values)
+    cap = dx.values - _eval_grid(spec, t, x.values, dx.values)
     return Residuals(
         algebraic=GridFunction(x.grid, alg),
         caputo=GridFunction(x.grid, cap),

@@ -100,6 +100,14 @@ class TestSolve:
             assert float(row[1]) == report.x.values[k, 0]
             assert float(row[2]) == report.z.values[k, 0]
 
+    def test_faulting_rhs_reports_offset(self, write_config, tmp_path, capsys):
+        cfg = write_config(
+            "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 1\nrhs = 0.5*x + sqrt(t - 1)\n"
+            "M1 = 0\nM2 = 0.5\nM3 = 0.5\n[solver]\nn = 64\n"
+        )
+        assert cli.main(["solve", cfg, "--out", str(tmp_path / "run.csv")]) == 2
+        assert "square root of a negative value (at offset 8)" in capsys.readouterr().err
+
     def test_zero_rhs(self, write_config, tmp_path):
         cfg = write_config(
             "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 5\nrhs = 0\n"

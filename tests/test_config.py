@@ -74,7 +74,7 @@ class TestHappyPath:
         )
         cfg = parse_config(text)
         assert np.array_equal(cfg.problem.x0, np.array([1.0, 2.0]))
-        out = cfg.problem.rhs(0.0, np.array([1.0, 2.0]), np.zeros(2))
+        out = cfg.problem.rhs(np.zeros((1, 1)), np.array([[1.0, 2.0]]), np.zeros((1, 2)))[0]
         assert out == pytest.approx(np.array([1.0, 0.6]))
 
     def test_compare_inherits_order_and_horizon(self):

@@ -152,8 +152,8 @@ class TestExportConfig:
         assert cfg.solver.tol == 1e-9
         assert cfg.solver.theta_override == 2.0
         for t, x, y in [(0.0, 1.0, 1.0), (0.3, 1.2, -0.4), (0.5, 0.0, 2.0)]:
-            got = cfg.problem.rhs(t, np.array([x]), np.array([y]))
-            want = reference.spec.rhs(t, np.array([x]), np.array([y]))
+            got = cfg.problem.rhs(np.array([[t]]), np.array([[x]]), np.array([[y]]))
+            want = reference.spec.rhs(np.array([[t]]), np.array([[x]]), np.array([[y]]))
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_round_trip_pair(self, reference):

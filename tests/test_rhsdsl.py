@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracpicard.errors import EvalError, ExpressionError, ParseError
+from fracpicard.errors import EvalError, ExpressionError, ParseError, RhsEvaluationError
+from fracpicard.fixtures import builtin_fixtures
 from fracpicard.rhsdsl import (
     BinOp,
     Call,
+    Const,
     Neg,
     Num,
     Var,
@@ -16,6 +19,8 @@ from fracpicard.rhsdsl import (
     parse,
     to_source,
 )
+from fracpicard.sampling import halton_points
+from fracpicard.solver import ProblemSpec, SolverConfig, _eval_grid, pointwise, solve
 
 from oracles import erfc_identity
 
@@ -209,7 +214,7 @@ class TestPrinting:
 class TestAsRhs:
     def test_componentwise_lift(self):
         rhs = as_rhs([parse("x + t"), parse("2*y")])
-        out = rhs(0.5, np.array([1.0, 10.0]), np.array([0.0, 3.0]))
+        out = rhs(np.array([[0.5]]), np.array([[1.0, 10.0]]), np.array([[0.0, 3.0]]))[0]
         assert out == pytest.approx(np.array([1.5, 6.0]))
 
     def test_requires_expressions(self):
@@ -221,7 +226,166 @@ class TestAsRhs:
         rhs = as_rhs([tree])
         for t, x, y in [(0.0, 1.0, 1.0), (0.25, 2.0, -1.0), (0.5, 0.0, 0.0)]:
             direct = evaluate(tree, t, x, y)
-            assert rhs(t, np.array([x]), np.array([y]))[0] == direct
+            assert rhs(np.array([[t]]), np.array([[x]]), np.array([[y]]))[0, 0] == direct
+
+
+def _block(samples, d=1, T=0.5, radius=2.0):
+    """Halton points in the block layout: t of shape (m, 1), x and y of shape (m, d)."""
+    pts = halton_points(samples, 1 + 2 * d)
+    t = pts[:, :1] * T
+    x = (2.0 * pts[:, 1 : 1 + d] - 1.0) * radius
+    y = (2.0 * pts[:, 1 + d :] - 1.0) * radius
+    return t, x, y
+
+
+def _per_node(trees, t, x, y):
+    values = [
+        [evaluate(tree, float(t[k, 0]), float(x[k, i]), float(y[k, i])) for i, tree in enumerate(trees)]
+        for k in range(len(t))
+    ]
+    return np.array(values, dtype=float).reshape(len(t), len(trees))
+
+
+def _stepwise(e, t, x, y):
+    """``evaluate`` applied one tree node at a time to already computed children.
+
+    ``^`` and ``exp`` take numpy's value instead, after checking it is
+    within 2 ulp of ``evaluate``'s; every other node is ``evaluate``'s own
+    result.  The compiled closure must reproduce this bit for bit.
+    """
+    if isinstance(e, (Num, Const, Var)):
+        return evaluate(e, t, x, y)
+    if isinstance(e, Neg):
+        return -_stepwise(e.operand, t, x, y)
+    if isinstance(e, BinOp):
+        left, right = _stepwise(e.left, t, x, y), _stepwise(e.right, t, x, y)
+        exact = evaluate(BinOp(e.op, Num(left), Num(right)), 0.0, 0.0, 0.0)
+        if e.op != "^":
+            return exact
+        value = float(np.power(left, right))
+    else:
+        args = tuple(Num(_stepwise(a, t, x, y)) for a in e.args)
+        exact = evaluate(Call(e.func, args), 0.0, 0.0, 0.0)
+        if e.func != "exp":
+            return exact
+        value = float(np.exp(args[0].value))
+    assert abs(value - exact) <= 2.0 * np.spacing(abs(exact))
+    return value
+
+
+def _inexact(e):
+    """Whether the tree uses ``^`` or ``exp``, where numpy may differ in the last bits."""
+    if isinstance(e, BinOp):
+        return e.op == "^" or _inexact(e.left) or _inexact(e.right)
+    if isinstance(e, Call):
+        return e.func == "exp" or any(_inexact(a) for a in e.args)
+    if isinstance(e, Neg):
+        return _inexact(e.operand)
+    return False
+
+
+AGREEMENT = TestPrinting.ROUND_TRIP + sorted(
+    {text for fixture in builtin_fixtures().values() for text in fixture.rhs_text}
+)
+
+
+class TestCompiledAgreement:
+    @pytest.mark.parametrize("text", AGREEMENT)
+    def test_matches_evaluate(self, text):
+        tree = parse(text)
+        t, x, y = _block(300)
+        got = as_rhs([tree])(t, x, y)
+        assert got.shape == (300, 1)
+        stepwise = np.array([[_stepwise(tree, *row)] for row in zip(t[:, 0], x[:, 0], y[:, 0])])
+        assert np.array_equal(got, stepwise)
+        if not _inexact(tree):
+            assert np.array_equal(got, _per_node([tree], t, x, y))
+
+    def test_two_components(self):
+        trees = [parse("sin(x) + t*y"), parse("2*x + 3/y")]
+        t, x, y = _block(300, d=2)
+        assert np.array_equal(as_rhs(trees)(t, x, y), _per_node(trees, t, x, y))
+
+    def test_two_components_with_power(self):
+        trees = [parse("x^2^3"), parse(REFERENCE_RHS)]
+        t, x, y = _block(300, d=2)
+        got = as_rhs(trees)(t, x, y)
+        for i, tree in enumerate(trees):
+            expected = [_stepwise(tree, *row) for row in zip(t[:, 0], x[:, i], y[:, i])]
+            assert np.array_equal(got[:, i], expected)
+
+    def test_solver_matches_pointwise_callable(self, reference):
+        spec = reference.spec
+
+        def per_node(t, x, y):
+            return math.sqrt(math.pi) / 4.0 - t ** (1.0 / 2.0) / 2.0 + (x + np.abs(y)) / 2.0
+
+        config = SolverConfig(n=256, tol=1e-10, theta_override=2.0)
+        compiled = solve(replace(spec, rhs=as_rhs([parse(REFERENCE_RHS)])), config)
+        lifted = solve(replace(spec, rhs=pointwise(per_node)), config)
+        assert compiled.iterations == lifted.iterations
+        for a, b in ((compiled.x, lifted.x), (compiled.z, lifted.z)):
+            assert np.allclose(a.values, b.values, rtol=1e-13, atol=0.0)
+
+
+def _first_fault(trees, t, x, y):
+    """The node at which node-by-node evaluation first fails, and its error.
+
+    The error is ``None`` when the node evaluates to a non-finite value
+    without raising.
+    """
+    for k in range(len(t)):
+        try:
+            row = _per_node(trees, t[k : k + 1], x[k : k + 1], y[k : k + 1])[0]
+        except EvalError as exc:
+            return k, exc
+        if not all(math.isfinite(v) for v in row):
+            return k, None
+    raise AssertionError("no node faults")
+
+
+def _ramp(start, stop, m=65, d=1):
+    t = np.linspace(0.0, 1.0, m)[:, None]
+    x = np.repeat(np.linspace(start, stop, m)[:, None], d, axis=1)
+    return t, x, np.zeros_like(x)
+
+
+class TestFaultParity:
+    @pytest.mark.parametrize(
+        "texts,start,stop",
+        [
+            (["sqrt(x - 2)"], 8.0, -8.0),
+            (["0^(x - 5)"], 8.0, -8.0),
+            (["(-1)^t"], 8.0, -8.0),
+            (["exp(1000*x)"], -8.0, 8.0),
+            (["exp(-1/(t - t))"], -8.0, 8.0),
+            (["ml(0.5, x)"], 8.0, -8.0),
+            (["1 + sqrt(x - 1)", "sqrt(x - 2)"], 8.0, -8.0),
+        ],
+    )
+    def test_same_error_at_same_node(self, texts, start, stop):
+        trees = [parse(text) for text in texts]
+        t, x, y = _ramp(start, stop, d=len(trees))
+        node, expected = _first_fault(trees, t, x, y)
+        rhs = as_rhs(trees)
+        before = rhs(t[:node], x[:node], y[:node])
+        assert np.array_equal(before, _per_node(trees, t[:node], x[:node], y[:node]))
+        for end in (node + 1, len(t)):
+            with pytest.raises(EvalError) as excinfo:
+                rhs(t[:end], x[:end], y[:end])
+            assert excinfo.value.message == expected.message
+            assert excinfo.value.span == expected.span
+
+    def test_non_finite_node_is_named_before_a_later_fault(self):
+        # 1e308*x overflows to inf without raising once x > 1.8; the
+        # square root fails only at the later nodes where x > 4.
+        tree = parse("1e308*x + sqrt(4 - x)")
+        spec = ProblemSpec(alpha=0.5, T=1.0, x0=0.0, rhs=as_rhs([tree]), M1=0.0, M2=0.5, M3=0.5)
+        t, x, y = _ramp(0.0, 8.0)
+        node, expected = _first_fault([tree], t, x, y)
+        assert expected is None and node > 0
+        with pytest.raises(RhsEvaluationError, match=f"node {node} "):
+            _eval_grid(spec, t, x, y)
 
 
 class TestEstimateLipschitz:

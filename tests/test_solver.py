@@ -9,6 +9,7 @@ from fracpicard.grid import GridFunction, UniformGrid
 from fracpicard.solver import (
     ProblemSpec,
     SolverConfig,
+    _weight_vector,
     bielecki_norm,
     check_contraction,
     chebyshev_norm,
@@ -114,7 +115,7 @@ class TestCheckContraction:
         assert report.L == pytest.approx(23.050558591143027, rel=1e-12)
 
     def test_degenerate_coupling(self):
-        spec = _spec(rhs=lambda t, x, y: np.array([math.cos(t)]), M2=1e-12, M3=0.5, T=2.0)
+        spec = _spec(rhs=lambda t, x, y: np.cos(t), M2=1e-12, M3=0.5, T=2.0)
         report = check_contraction(spec, 256)
         assert report.q_global == pytest.approx(0.5, abs=1e-9)
         assert report.K == pytest.approx(1.1, rel=1e-12)  # sup at t=0
@@ -153,6 +154,11 @@ class TestNorms:
         )
         assert bielecki_norm(z, 0.5, 2.0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_weights_are_shared_and_read_only(self):
+        wt = _weight_vector(UniformGrid(0.5, 16), 0.5, 2.0)
+        assert _weight_vector(UniformGrid(0.5, 16), 0.5, 2.0) is wt
+        assert not wt.flags.writeable
+
     def test_bielecki_never_exceeds_chebyshev(self):
         rng = np.random.default_rng(11)
         grid = UniformGrid(0.7, 12)
@@ -187,7 +193,7 @@ class TestPicardStep:
         assert chebyshev_norm(out - z_star) <= 5e-3
 
     def test_constant_rhs(self):
-        spec = _spec(rhs=lambda t, x, y: np.array([1.0]))
+        spec = _spec(rhs=lambda t, x, y: np.ones_like(x))
         grid = UniformGrid(0.5, 16)
         weights = build_weights(0.5, grid)
         z = GridFunction.sample(grid, lambda t: np.array([math.sin(t)]))
@@ -195,10 +201,7 @@ class TestPicardStep:
         assert np.all(out.values == 1.0)
 
     def test_non_finite_rhs_names_node(self):
-        def rhs(t, x, y):
-            return np.array([math.nan if t > 0.4 else 0.1 * x[0]])
-
-        spec = _spec(rhs=rhs)
+        spec = _spec(rhs=lambda t, x, y: np.where(t > 0.4, math.nan, 0.1 * x))
         grid = UniformGrid(0.5, 10)
         weights = build_weights(0.5, grid)
         z = GridFunction.constant(grid, 0.0)
@@ -222,7 +225,7 @@ class TestPicardStep:
 
 class TestReconstructX:
     def test_zero_derivative(self):
-        spec = _spec(x0=[2.0, -1.0], rhs=lambda t, x, y: np.zeros(2))
+        spec = _spec(x0=[2.0, -1.0], rhs=lambda t, x, y: np.zeros_like(x))
         grid = UniformGrid(0.5, 8)
         weights = build_weights(0.5, grid)
         x = reconstruct_x(spec, weights, GridFunction.constant(grid, [0.0, 0.0]))
@@ -270,7 +273,7 @@ class TestSolve:
         assert reference_run.a_posteriori_bound <= 10.0 * reference_run.step_norms[-1]
 
     def test_zero_rhs_is_immediate(self):
-        spec = _spec(rhs=lambda t, x, y: np.array([0.0]), x0=3.0, M2=1e-6, M3=0.5)
+        spec = _spec(rhs=lambda t, x, y: np.zeros_like(x), x0=3.0, M2=1e-6, M3=0.5)
         run = solve(spec, SolverConfig(n=32))
         assert run.converged
         assert run.iterations <= 2
@@ -375,7 +378,7 @@ class TestResiduals:
         assert float(cap[128:].max()) <= 1e-2
 
     def test_constant_solution_zero_rhs(self):
-        spec = _spec(rhs=lambda t, x, y: np.array([0.0]), x0=4.0, M2=1e-6)
+        spec = _spec(rhs=lambda t, x, y: np.zeros_like(x), x0=4.0, M2=1e-6)
         grid = UniformGrid(0.5, 64)
         x = GridFunction.constant(grid, 4.0)
         z = GridFunction.constant(grid, 0.0)
