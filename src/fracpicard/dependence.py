@@ -38,7 +38,7 @@ from .solver import (
     check_contraction,
     select_theta,
 )
-from .specfun import mittag_leffler
+from .specfun import mittag_leffler_array
 
 __all__ = [
     "ProblemPair",
@@ -459,5 +459,6 @@ def estimate_ml_gap(
         raise DomainError(f"theta must be > 0, got {theta}")
     times, gaps = _sampled_gaps(spec_f, spec_g, radius, samples)
     alpha = spec_f.alpha
-    weights = np.array([mittag_leffler(alpha, theta * t**alpha) for t in times.tolist()])
+    args = np.array([theta * t**alpha for t in times.tolist()])
+    weights = mittag_leffler_array(alpha, args, strict=True)
     return _SAMPLE_SAFETY * float(np.max(gaps / weights))

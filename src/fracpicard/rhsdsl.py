@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EvalError, FracpicardError, ParseError
 from .sampling import halton_points
-from .specfun import mittag_leffler
+from .specfun import mittag_leffler, mittag_leffler_array
 
 __all__ = [
     "Expr",
@@ -417,13 +417,12 @@ _NUMPY_UNARY = {"sqrt": np.sqrt, "abs": np.abs, "sin": np.sin, "cos": np.cos, "e
 
 
 def _ml_block(order: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape)
-    for k, zk in enumerate(z.tolist()):
-        try:
-            out[k] = mittag_leffler(order, zk)
-        except FracpicardError:
-            out[k] = math.nan  # flagged, so evaluate raises the EvalError
-    return out
+    # Elements the scalar series rejects are NaN, so they are flagged and
+    # evaluate raises the EvalError.
+    try:
+        return mittag_leffler_array(order, z)
+    except FracpicardError:
+        return np.full(z.shape, math.nan)
 
 
 def _compile(e: Expr) -> _Compiled:

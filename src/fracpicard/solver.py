@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ContractionError, DomainError, RhsEvaluationError
 from .fracops import FracWeights, build_weights, caputo_l1, frac_integral
 from .grid import GridFunction, UniformGrid
-from .specfun import bielecki_weight
+from .specfun import mittag_leffler_array
 
 __all__ = [
     "ProblemSpec",
@@ -309,9 +309,17 @@ def _weight_vector(grid: UniformGrid, alpha: float, theta: float) -> np.ndarray:
 
     Every norm on one grid with one ``(alpha, theta)`` shares the same
     read-only array, so a solve and all distances measured after it pay
-    for the Mittag-Leffler series once.
+    for the Mittag-Leffler series once.  The values are bitwise those of
+    :func:`bielecki_weight` node by node, and the first node the series
+    cannot evaluate raises its error.
     """
-    wt = np.array([bielecki_weight(alpha, theta, t) for t in grid.nodes()])
+    if theta <= 0.0:
+        raise DomainError(f"norm weights require theta > 0, got {theta}")
+    # Each argument is formed node by node with the scalar power that
+    # bielecki_weight applies to one node; numpy's array power can differ
+    # from it in the last bit.
+    args = np.array([theta * t**alpha for t in grid.nodes()])
+    wt = mittag_leffler_array(alpha, args, strict=True)
     wt.flags.writeable = False
     return wt
 

@@ -10,12 +10,15 @@ compensated summation is accurate and cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, SeriesConvergenceError
 
-__all__ = ["SeriesControl", "gamma", "mittag_leffler", "bielecki_weight"]
+__all__ = ["SeriesControl", "gamma", "mittag_leffler", "mittag_leffler_array", "bielecki_weight"]
 
 # Series termination requires this many consecutive below-tolerance terms,
 # guarding against a term that dips early while the tail is still growing.
@@ -65,13 +68,61 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+@functools.lru_cache(maxsize=32)
+def _term_ratios(alpha: float, count: int) -> tuple[float, ...]:
+    """``Gamma(alpha*k + 1) / Gamma(alpha*k + alpha + 1)`` for ``k < count``.
+
+    Series term ``k + 1`` is term ``k`` times ``z`` times entry ``k``.
+    """
+    return tuple(
+        math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
+        for k in range(count)
+    )
+
+
+def _series_step(total, comp, term, z, ratio):
+    """Add ``term`` to the Kahan sum ``(total, comp)`` and form the next term.
+
+    Works elementwise on floats and on arrays alike, so the scalar and the
+    array series round identically.
+    """
+    y = term - comp
+    t = total + y
+    return t, (t - total) - y, term * (z * ratio)
+
+
+def _negligible(term, total, control: SeriesControl):
+    """Whether the next term is below the tail tolerance, elementwise."""
+    return abs(term) < control.rel_tol * abs(total)
+
+
+def _series_error(alpha: float, z: float, control: SeriesControl) -> Exception:
+    """The error for an argument whose series cannot be evaluated."""
+    if not (-5.0 <= z <= 200.0):
+        return DomainError(f"mittag_leffler requires z in [-5, 200], got {z}")
+    return SeriesConvergenceError(
+        f"Mittag-Leffler series for alpha={alpha}, z={z} did not settle "
+        f"within {control.max_terms} terms"
+    )
+
+
+def _check_order(alpha: float) -> float:
+    """``alpha`` as a float, checked to lie in ``(0, 1]``."""
+    alpha = float(alpha)
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
+    return alpha
+
+
 def mittag_leffler(alpha: float, z: float, control: SeriesControl | None = None) -> float:
     """One-parameter Mittag-Leffler function ``E_alpha(z)``.
 
     Sums ``sum_k z**k / Gamma(alpha*k + 1)`` with Kahan-compensated
     accumulation.  Successive terms are generated by the running ratio
     ``term * z * exp(lgamma(alpha*k + 1) - lgamma(alpha*k + alpha + 1))``,
-    which avoids forming huge powers and Gamma values separately.
+    which avoids forming huge powers and Gamma values separately.  The sum
+    stops once ``_QUIET_TERMS`` consecutive terms are negligible.
+    :func:`mittag_leffler_array` runs the same steps elementwise.
 
     Args:
         alpha: order, in ``(0, 1]``.  ``alpha = 1`` reproduces ``exp``.
@@ -90,35 +141,82 @@ def mittag_leffler(alpha: float, z: float, control: SeriesControl | None = None)
         SeriesConvergenceError: if ``max_terms`` terms do not reach the
             tolerance (possible for small ``alpha`` with large ``z``).
     """
-    alpha = float(alpha)
+    alpha = _check_order(alpha)
     z = float(z)
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"mittag_leffler requires alpha in (0, 1], got {alpha}")
-    if not (-5.0 <= z <= 200.0):
-        raise DomainError(f"mittag_leffler requires z in [-5, 200], got {z}")
     if control is None:
         control = SeriesControl()
-
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    term = 1.0  # z**k / Gamma(alpha*k + 1) at k = 0
-    quiet = 0
-    for k in range(control.max_terms):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        term *= z * math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
-        if abs(term) < control.rel_tol * abs(total):
-            quiet += 1
+    if -5.0 <= z <= 200.0:
+        total, comp, term = 0.0, 0.0, 1.0  # term is z**k / Gamma(alpha*k + 1)
+        quiet = 0
+        for ratio in _term_ratios(alpha, control.max_terms):
+            total, comp, term = _series_step(total, comp, term, z, ratio)
+            quiet = quiet + 1 if _negligible(term, total, control) else 0
             if quiet >= _QUIET_TERMS:
                 return total
-        else:
-            quiet = 0
-    raise SeriesConvergenceError(
-        f"Mittag-Leffler series for alpha={alpha}, z={z} did not settle "
-        f"within {control.max_terms} terms"
-    )
+    raise _series_error(alpha, z, control)
+
+
+def mittag_leffler_array(
+    alpha: float, z: np.ndarray, control: SeriesControl | None = None, *, strict: bool = False
+) -> np.ndarray:
+    """``E_alpha`` at every element of ``z``, bitwise equal to :func:`mittag_leffler`.
+
+    Runs the scalar function's steps elementwise, with a per-element quiet
+    counter that freezes each element at the term where the scalar series
+    returns.  An element fails where the scalar function raises: outside
+    ``[-5, 200]`` (NaN included), or a series that does not settle within
+    ``max_terms`` terms.  Failed elements are NaN; with ``strict`` the
+    first of them in C order raises the scalar function's error instead.
+
+    Args:
+        alpha: order, in ``(0, 1]``.
+        z: arguments, any shape.
+        control: optional truncation policy; defaults to
+            ``SeriesControl()``.
+        strict: raise for a failed element instead of returning NaN.
+
+    Returns:
+        A new float array of the shape of ``z``.
+
+    Raises:
+        DomainError: if ``alpha`` is outside ``(0, 1]``, or with ``strict``
+            if an element is outside ``[-5, 200]``.
+        SeriesConvergenceError: with ``strict``, if an element's series
+            does not settle.
+    """
+    alpha = _check_order(alpha)
+    if control is None:
+        control = SeriesControl()
+    z = np.asarray(z, dtype=float)
+    out = np.full(z.shape, np.nan)
+    flat = out.reshape(-1)
+    # Positions still summing, and their running state.
+    live = np.flatnonzero((z >= -5.0) & (z <= 200.0))
+    zl = z.reshape(-1)[live]
+    total = np.zeros(live.size)
+    comp = np.zeros(live.size)
+    term = np.ones(live.size)
+    quiet = np.zeros(live.size, dtype=int)
+    # Overflow leaves inf and NaN in the state, as in the scalar series;
+    # such elements never settle and stay NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ratio in _term_ratios(alpha, control.max_terms):
+            if live.size == 0:
+                break
+            total, comp, term = _series_step(total, comp, term, zl, ratio)
+            quiet = np.where(_negligible(term, total, control), quiet + 1, 0)
+            done = quiet >= _QUIET_TERMS
+            if done.any():
+                flat[live[done]] = total[done]
+                keep = ~done
+                live, zl, total, comp, term, quiet = (
+                    a[keep] for a in (live, zl, total, comp, term, quiet)
+                )
+    if strict:
+        failed = np.flatnonzero(np.isnan(flat))
+        if failed.size:
+            raise _series_error(alpha, float(z.reshape(-1)[failed[0]]), control)
+    return out
 
 
 def bielecki_weight(alpha: float, theta: float, t: float) -> float:

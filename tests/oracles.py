@@ -44,6 +44,74 @@ def caputo_power(alpha, beta, t):
     return math.gamma(beta + 1.0) / math.gamma(beta + 1.0 - alpha) * t ** (beta - alpha)
 
 
+def trapezoid_column0(alpha, h, n):
+    """Column 0 of the product-trapezoid weights for I^alpha on n steps of size h.
+
+    Entry k integrates the hat function of node 0 against the kernel
+    (t_k - s)^(alpha-1) / Gamma(alpha): in units of h^alpha / Gamma(alpha+2)
+    it is (k-1)^(alpha+1) - (k-1-alpha) k^alpha, and 0 at k = 0.
+    """
+    k = np.arange(1.0, n + 1.0)
+    col = np.zeros(n + 1)
+    col[1:] = (k - 1.0) ** (alpha + 1.0) - (k - 1.0 - alpha) * k**alpha
+    return col * (h**alpha / math.gamma(alpha + 2.0))
+
+
+def trapezoid_row(alpha, h, k):
+    """Columns 1..k of row k >= 1 of the product-trapezoid weights for I^alpha.
+
+    In units of h^alpha / Gamma(alpha+2), entry j is
+    (k-j+1)^(alpha+1) - 2 (k-j)^(alpha+1) + (k-j-1)^(alpha+1) for j < k
+    and 1 at j = k.
+
+    Both this and trapezoid_column0 evaluate their closed form with numpy
+    array powers.  The forms cancel: an ulp of difference in a power moves
+    an entry by about eps * k^(alpha+1) relative, which would hide the
+    assembly and apply errors the comparisons are after.
+    """
+    p = alpha + 1.0
+    j = np.arange(1.0, k)
+    row = np.ones(k)
+    row[:-1] = (k - j + 1.0) ** p - 2.0 * (k - j) ** p + (k - j - 1.0) ** p
+    return row * (h**alpha / math.gamma(alpha + 2.0))
+
+
+def trapezoid_weights(alpha, T, n):
+    """Dense (n+1, n+1) product-trapezoid weight matrix on the uniform n-step grid."""
+    W = np.zeros((n + 1, n + 1))
+    W[:, 0] = trapezoid_column0(alpha, T / n, n)
+    for k in range(1, n + 1):
+        W[k, 1 : k + 1] = trapezoid_row(alpha, T / n, k)
+    return W
+
+
+def trapezoid_integral(alpha, T, z):
+    """I^alpha of grid samples z, shape (n+1, d), one weight row at a time."""
+    n = z.shape[0] - 1
+    out = trapezoid_column0(alpha, T / n, n)[:, None] * z[0]
+    for k in range(1, n + 1):
+        out[k] += trapezoid_row(alpha, T / n, k) @ z[1 : k + 1]
+    return out
+
+
+def caputo_l1_loop(alpha, T, x):
+    """L1 Caputo derivative of grid samples x, shape (n+1, d), by its defining sum.
+
+    Node k >= 1 is h^-alpha / Gamma(2-alpha) times the sum over panels j < k
+    of (x_{j+1} - x_j) ((k-j)^(1-alpha) - (k-j-1)^(1-alpha)); node 0
+    repeats node 1.
+    """
+    n = x.shape[0] - 1
+    h = T / n
+    out = np.zeros_like(x, dtype=float)
+    for k in range(1, n + 1):
+        j = np.arange(float(k))
+        moments = (k - j) ** (1.0 - alpha) - (k - j - 1.0) ** (1.0 - alpha)
+        out[k] = moments @ (x[1 : k + 1] - x[:k]) * (h**-alpha / math.gamma(2.0 - alpha))
+    out[0] = out[1]
+    return out
+
+
 def abm_solve(alpha, T, x0, F, n):
     """Explicit fractional initial-value problem by Adams predictor-corrector.
 

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracpicard
 from fracpicard import cli
 from fracpicard.fixtures import reference_problem
 from fracpicard.solver import SolverConfig, solve
@@ -13,6 +17,12 @@ REFERENCE_CFG = "[problem]\nfixture = reference\n[solver]\nn = 64\ntheta = 2.0\n
 EIGEN_CFG = (
     "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 1\nrhs = x\n"
     "M1 = 0\nM2 = 1\nM3 = 1e-6\n[solver]\nn = 64\n"
+)
+# The shifted half-order reference problem, x(t) = sqrt(t) + E_{1/2}(sqrt(t)) - 0.612.
+SHIFTED_CFG = (
+    "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 0.388\n"
+    "rhs = sqrt(pi)/4 + 0.612/2 - t^(1/2)/2 + (x + abs(y))/2\n"
+    "M1 = 0.5\nM2 = 0.5\nM3 = 0.5\n[solver]\nn = {n}\ntol = 1e-10\ntheta = 2.0\n"
 )
 NONCONTRACTIVE_CFG = (
     "[problem]\nalpha = 0.5\nT = 4\nx0 = 1\nrhs = 0.95*sin(x) + 0.1*y\n"
@@ -126,6 +136,26 @@ class TestSolve:
         cli.main(["solve", cfg, "--out", a])
         cli.main(["solve", cfg, "--out", b])
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_output_independent_of_blas_threads(self, write_config, tmp_path, n):
+        # The weight apply calls no BLAS, at either size.
+        cfg = write_config(SHIFTED_CFG.format(n=n))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fracpicard.__file__)))
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for threads in (None, "1"):
+            out_csv = str(tmp_path / f"run-{threads}.csv")
+            run_env = env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "fracpicard.cli", "solve", cfg, "--out", out_csv],
+                env=run_env,
+                check=True,
+                capture_output=True,
+            )
+            outputs.append(open(out_csv, "rb").read())
+        assert outputs[0] == outputs[1]
 
     def test_non_contractive_refused(self, write_config, tmp_path, capsys):
         cfg = write_config(NONCONTRACTIVE_CFG)

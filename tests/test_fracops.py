@@ -4,20 +4,30 @@ import numpy as np
 import pytest
 
 from fracpicard.errors import DomainError, GridMismatchError
-from fracpicard.fracops import build_weights, caputo_l1, frac_integral
+from fracpicard.fracops import _NEAR, build_weights, caputo_l1, frac_integral
 from fracpicard.grid import GridFunction, UniformGrid
 from fracpicard.specfun import mittag_leffler
 
-from oracles import caputo_power, frac_integral_power
+from oracles import (
+    caputo_l1_loop,
+    caputo_power,
+    frac_integral_power,
+    trapezoid_integral,
+    trapezoid_weights,
+)
+
+# One near-field block and both sides of its edge, a grid that is not a
+# power-of-two multiple of it, and a large grid.
+SIZES = [8, _NEAR, _NEAR + 1, 1000, 4096]
 
 
 class TestBuildWeights:
     def test_row_zero_is_zero(self):
-        w = build_weights(0.5, UniformGrid(1.0, 2)).w
+        w = build_weights(0.5, UniformGrid(1.0, 2)).to_dense()
         assert np.all(w[0] == 0.0)
 
     def test_lower_triangular_and_nonnegative(self):
-        w = build_weights(0.3, UniformGrid(2.0, 16)).w
+        w = build_weights(0.3, UniformGrid(2.0, 16)).to_dense()
         assert np.all(w[np.triu_indices(17, k=1)] == 0.0)
         assert np.all(w >= 0.0)
         # strictly positive where the stencil reaches
@@ -27,7 +37,7 @@ class TestBuildWeights:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_row_sums_match_power_rule(self, alpha):
         grid = UniformGrid(0.5, 64)
-        w = build_weights(alpha, grid).w
+        w = build_weights(alpha, grid).to_dense()
         nodes = grid.nodes()
         for k in range(1, 65):
             expected = nodes[k] ** alpha / math.gamma(alpha + 1.0)
@@ -37,6 +47,20 @@ class TestBuildWeights:
     def test_alpha_domain(self, alpha):
         with pytest.raises(DomainError):
             build_weights(alpha, UniformGrid(1.0, 4))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.85])
+    @pytest.mark.parametrize("n", [2, 3, 8, 100, 481])
+    def test_dense_matches_oracle(self, alpha, n):
+        expected = trapezoid_weights(alpha, 1.3, n)
+        w = build_weights(alpha, UniformGrid(1.3, n)).to_dense()
+        assert np.allclose(w, expected, rtol=1e-13, atol=0.0)
+
+    def test_storage_is_linear(self):
+        weights = build_weights(0.5, UniformGrid(1.0, 1000))
+        assert weights.kernel.shape == (1000,)
+        assert weights.column0.shape == (1001,)
+        assert not weights.kernel.flags.writeable
+        assert not weights.column0.flags.writeable
 
 
 class TestFracIntegral:
@@ -114,6 +138,39 @@ class TestFracIntegral:
         once = frac_integral(build_weights(0.7, grid), z)
         assert twice.values[-1, 0] == pytest.approx(once.values[-1, 0], rel=5e-3)
 
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_oracle_matvec(self, n):
+        rng = np.random.default_rng(n)
+        grid = UniformGrid(0.8, n)
+        z = rng.standard_normal((n + 1, 2))
+        out = frac_integral(build_weights(0.4, grid), GridFunction(grid, z)).values
+        expected = trapezoid_integral(0.4, 0.8, z)
+        assert np.all(out[0] == 0.0)
+        assert float(np.max(np.abs(out - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_nodewise_accuracy_on_growing_data(self, n):
+        # exp(30 t) spans 13 decades: an error relative to the largest
+        # value would swamp the early nodes.
+        grid = UniformGrid(1.0, n)
+        t = grid.nodes()
+        z = np.stack([np.exp(30.0 * t), -np.exp(20.0 * t) * np.cos(40.0 * t)], axis=1)
+        out = frac_integral(build_weights(0.5, grid), GridFunction(grid, z)).values
+        expected = trapezoid_integral(0.5, 1.0, z)
+        rel = np.abs(out[1:, 0] - expected[1:, 0]) / expected[1:, 0]
+        assert float(np.max(rel)) <= 1e-13
+        # The oscillating column changes sign: scale by the largest term at or before each node.
+        past = np.maximum.accumulate(np.abs(z[:, 1]))[1:] * t[1:] ** 0.5
+        assert float(np.max(np.abs(out[1:, 1] - expected[1:, 1]) / past)) <= 1e-13
+
+    def test_later_values_never_reach_earlier_nodes(self):
+        grid = UniformGrid(1.0, 1000)
+        z = np.zeros((1001, 1))
+        z[700:] = 1e12
+        out = frac_integral(build_weights(0.3, grid), GridFunction(grid, z)).values
+        assert np.all(out[:700] == 0.0)
+        assert np.all(out[700:] > 0.0)
+
     def test_grid_mismatch(self):
         w = build_weights(0.5, UniformGrid(1.0, 8))
         z = GridFunction.constant(UniformGrid(1.0, 16), 1.0)
@@ -163,6 +220,22 @@ class TestCaputoL1:
         k0 = 2048 // 8
         gap = float(np.max(np.abs(back.values[k0:] - z.values[k0:])))
         assert gap <= 5e-2
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_loop_oracle(self, n):
+        rng = np.random.default_rng(n + 1)
+        grid = UniformGrid(0.8, n)
+        x = rng.standard_normal((n + 1, 2))
+        out = caputo_l1(0.6, GridFunction(grid, x)).values
+        expected = caputo_l1_loop(0.6, 0.8, x)
+        assert float(np.max(np.abs(out - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+    def test_nodewise_accuracy_on_growing_data(self):
+        grid = UniformGrid(1.0, 4096)
+        x = np.exp(30.0 * grid.nodes())[:, None]
+        out = caputo_l1(0.6, GridFunction(grid, x)).values
+        expected = caputo_l1_loop(0.6, 1.0, x)
+        assert float(np.max(np.abs(out - expected) / expected)) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_alpha_domain(self, alpha):

@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fracpicard.errors import ContractionError, DomainError, RhsEvaluationError
-from fracpicard.fracops import build_weights
+from fracpicard.errors import (
+    ContractionError,
+    DomainError,
+    RhsEvaluationError,
+    SeriesConvergenceError,
+)
+from fracpicard.fracops import _NEAR, build_weights, frac_integral
 from fracpicard.grid import GridFunction, UniformGrid
 from fracpicard.solver import (
     ProblemSpec,
@@ -19,9 +24,9 @@ from fracpicard.solver import (
     select_theta,
     solve,
 )
-from fracpicard.specfun import mittag_leffler
+from fracpicard.specfun import bielecki_weight, mittag_leffler
 
-from oracles import abm_solve
+from oracles import abm_solve, erfc_identity
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -158,6 +163,32 @@ class TestNorms:
         wt = _weight_vector(UniformGrid(0.5, 16), 0.5, 2.0)
         assert _weight_vector(UniformGrid(0.5, 16), 0.5, 2.0) is wt
         assert not wt.flags.writeable
+
+    @pytest.mark.parametrize("n", [256, 4096, 8192])
+    @pytest.mark.parametrize("alpha,theta", [(0.5, 2.0), (0.75, 1.5)])
+    def test_weights_bitwise_equal_node_by_node(self, n, alpha, theta):
+        grid = UniformGrid(0.5, n)
+        expected = [bielecki_weight(alpha, theta, t) for t in grid.nodes()]
+        assert _weight_vector(grid, alpha, theta).tolist() == expected
+
+    def test_weight_failure_raises_the_node_error(self):
+        # The first node whose series does not settle raises what
+        # bielecki_weight raises there.
+        grid = UniformGrid(2.0, 16)
+        nodes = grid.nodes()
+        first = None
+        for t in nodes:
+            try:
+                bielecki_weight(0.3, 3.0, t)
+            except SeriesConvergenceError as exc:
+                first = str(exc)
+                break
+        assert first is not None
+        with pytest.raises(SeriesConvergenceError) as info:
+            _weight_vector(grid, 0.3, 3.0)
+        assert str(info.value) == first
+        with pytest.raises(DomainError, match="theta > 0"):
+            _weight_vector(grid, 0.5, -1.0)
 
     def test_bielecki_never_exceeds_chebyshev(self):
         rng = np.random.default_rng(11)
@@ -309,6 +340,45 @@ class TestSolve:
             errs[n] = float(np.abs(run.x.values - sampled.values).max())
         assert errs[1024] <= errs[512]
         assert errs[1024] <= errs[256]
+
+    def test_forced_growing_solution_converges(self):
+        # D^{1/2} x = 4x, x(0) = 1 on [0, 1] grows to E_{1/2}(4), about 1.8e7,
+        # while the norm weights of the early nodes stay near 1: the weighted
+        # step only falls to tol if no node picks up rounding from later,
+        # larger values.
+        spec = ProblemSpec(
+            alpha=0.5, T=1.0, x0=np.array([1.0]), rhs=lambda t, x, y: 4.0 * x,
+            M1=0.0, M2=4.0, M3=1e-6,
+        )
+        report = solve(spec, SolverConfig(n=1024, force=True, theta_override=4.4))
+        assert report.converged
+        assert report.x.values[-1, 0] == pytest.approx(mittag_leffler(0.5, 4.0), rel=1e-3)
+
+    def test_fine_grid_is_feasible(self):
+        # D^{1/2} x = x/2, x(0) = 1 has x(t) = E_{1/2}(sqrt(t)/2).  At
+        # n = 65536 the weights stay O(n) and the error keeps falling as h.
+        lam = 0.5
+        spec = ProblemSpec(
+            alpha=0.5, T=0.5, x0=np.array([1.0]), rhs=lambda t, x, y: lam * x,
+            M1=0.0, M2=lam, M3=1e-6,
+        )
+
+        def error(n):
+            report = solve(spec, SolverConfig(n=n))
+            assert report.converged and report.certified
+            exact = [erfc_identity(lam * math.sqrt(t)) for t in report.x.grid.nodes()]
+            return float(np.max(np.abs(report.x.values[:, 0] - exact)))
+
+        n = 65536
+        weights = build_weights(0.5, UniformGrid(0.5, n))
+        held = sum(v.nbytes for v in vars(weights).values() if isinstance(v, np.ndarray))
+        assert held <= 3 * (n + 1) * 8
+        frac_integral(weights, GridFunction.constant(weights.grid, 1.0))
+        plan = weights.plan()
+        # One fixed near-field block and about n complex values, no dense matrix.
+        assert plan.near.shape == (_NEAR, _NEAR)
+        assert sum(s.nbytes for s in plan.spectra) <= 2 * (n + 1) * 8
+        assert error(n) <= 2.0 * error(8192) * 8192 / n
 
     def test_initial_guess_independence(self, reference):
         cfg = lambda guess: SolverConfig(

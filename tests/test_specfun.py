@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fracpicard.errors import DomainError, SeriesConvergenceError
-from fracpicard.specfun import SeriesControl, bielecki_weight, gamma, mittag_leffler
+from fracpicard.errors import DomainError, FracpicardError, SeriesConvergenceError
+from fracpicard.specfun import (
+    SeriesControl,
+    bielecki_weight,
+    gamma,
+    mittag_leffler,
+    mittag_leffler_array,
+)
 
 from oracles import erfc_identity, ml_series
 
@@ -133,6 +139,52 @@ class TestMittagLeffler:
             mittag_leffler(0.1, 150.0)
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(0.5, 200.0)
+
+
+class TestMittagLefflerArray:
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.73, 1.0])
+    def test_bitwise_equal_to_scalar(self, alpha):
+        # Out-of-domain and non-settling elements are NaN where the
+        # scalar function raises.
+        rng = np.random.default_rng(17)
+        z = np.concatenate(
+            [rng.uniform(-6.0, 210.0, 400), [0.0, -5.0, 200.0, 150.0, math.nan, math.inf]]
+        )
+        out = mittag_leffler_array(alpha, z)
+        for zk, value in zip(z.tolist(), out.tolist()):
+            try:
+                expected = mittag_leffler(alpha, zk)
+            except FracpicardError:
+                assert math.isnan(value), zk
+            else:
+                assert value == expected, zk
+
+    def test_keeps_shape_and_control(self):
+        z = np.array([[0.5, 1.0], [2.0, 3.0]])
+        control = SeriesControl(rel_tol=1e-9, max_terms=100)
+        out = mittag_leffler_array(0.5, z, control)
+        assert out.shape == (2, 2)
+        for zk, value in zip(z.ravel().tolist(), out.ravel().tolist()):
+            assert value == mittag_leffler(0.5, zk, control)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.5])
+    def test_order_domain(self, alpha):
+        with pytest.raises(DomainError):
+            mittag_leffler_array(alpha, np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "z,control,error",
+        [
+            ([0.5, 250.0, -7.0], None, DomainError),
+            ([0.5, 30.0, 250.0], SeriesControl(max_terms=50), SeriesConvergenceError),
+        ],
+    )
+    def test_strict_raises_the_scalar_error_of_the_first_failure(self, z, control, error):
+        with pytest.raises(error) as scalar:
+            mittag_leffler(0.5, z[1], control)
+        with pytest.raises(error) as array:
+            mittag_leffler_array(0.5, np.array(z), control, strict=True)
+        assert str(array.value) == str(scalar.value)
 
 
 class TestBieleckiWeight:
