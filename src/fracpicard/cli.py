@@ -24,7 +24,7 @@ import tempfile
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .dependence import (
     ProblemPair,
     dependence_bound,
@@ -45,11 +45,11 @@ from .errors import (
 from .fixtures import builtin_fixtures, get_fixture, validate_exact
 from .grid import GridFunction, UniformGrid
 from .solver import (
-    ContractionReport,
     ProblemSpec,
     SolverConfig,
     check_contraction,
     residual_caputo,
+    resolve_theta,
     solve,
 )
 from .specfun import mittag_leffler
@@ -106,29 +106,6 @@ def _write_solution_csv(path: str, x: GridFunction, z: GridFunction, spec: Probl
         raise
 
 
-def _effective_theta(spec: ProblemSpec, report: ContractionReport, override: float | None) -> tuple[float, float]:
-    """Resolve the weight scale and its contraction factor, honoring an override."""
-    if override is None:
-        return report.theta, report.q_bielecki
-    q = spec.M2 / override + spec.M3
-    if q >= 1.0:
-        raise ConfigError(
-            f"theta = {override:g} gives weighted factor {q:g} >= 1; "
-            f"need theta > {spec.M2 / (1.0 - spec.M3):g}"
-        )
-    return override, q
-
-
-def _pair_theta(cfg: RunConfig) -> float:
-    """Weight scale for pair comparisons: the override, or the default
-    selection applied to the worse constants of the pair."""
-    if cfg.solver.theta_override is not None:
-        return cfg.solver.theta_override
-    m2 = max(cfg.problem.M2, cfg.compare.M2)
-    m3 = max(cfg.problem.M3, cfg.compare.M3)
-    return max(1.0, 2.0 * m2 / (1.0 - m3))
-
-
 def _sampling_radius(*specs: ProblemSpec, n: int) -> float:
     """Radius covering the iterate balls of all given problems, for gap sampling."""
     radius = 1.0
@@ -143,8 +120,8 @@ def _sampling_radius(*specs: ProblemSpec, n: int) -> float:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    theta, q_b = resolve_theta(cfg.problem.M2, cfg.problem.M3, cfg.solver.theta_override)
     report = check_contraction(cfg.problem, cfg.solver.n)
-    theta, q_b = _effective_theta(cfg.problem, report, cfg.solver.theta_override)
     verdict = "PASS" if report.contraction_ok else "FAIL"
     print(f"q_global = {report.q_global!r} {verdict}")
     print(f"q_bielecki = {q_b!r}")
@@ -180,7 +157,9 @@ def cmd_depend(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.compare is None:
         raise ConfigError("depend requires a [compare] section")
-    theta = _pair_theta(cfg)
+    theta, _ = resolve_theta(
+        *ProblemPair(cfg.problem, cfg.compare).worst_constants(), cfg.solver.theta_override
+    )
 
     report_f = solve(cfg.problem, cfg.solver)
     report_g = solve(cfg.compare, cfg.solver)
@@ -220,8 +199,7 @@ def cmd_family(args: argparse.Namespace) -> int:
     for index, (z, x) in enumerate(family.solutions, start=1):
         _write_solution_csv(os.path.join(args.out_dir, f"family_{index}.csv"), x, z, cfg.problem)
 
-    rep = check_contraction(cfg.problem, cfg.solver.n)
-    theta, _ = _effective_theta(cfg.problem, rep, cfg.solver.theta_override)
+    theta, _ = resolve_theta(cfg.problem.M2, cfg.problem.M3, cfg.solver.theta_override)
     members = len(family.solutions)
     print(f"members = {members}")
     for i in range(members):
@@ -232,7 +210,9 @@ def cmd_family(args: argparse.Namespace) -> int:
             print(f"distance_{i + 1}_{j + 1} = {dist!r}")
 
     if cfg.compare is not None:
-        pair_theta = _pair_theta(cfg)
+        pair_theta, _ = resolve_theta(
+            *ProblemPair(cfg.problem, cfg.compare).worst_constants(), cfg.solver.theta_override
+        )
         other = solve_family(cfg.compare, cfg.anchors, cfg.solver)
         if cfg.k_ml is not None:
             k_ml, label = cfg.k_ml, "given"
@@ -319,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Fixed-point solver for implicit fractional initial-value problems "
             "D^alpha x = f(t, x, D^alpha x)."
-        ),
-        epilog=(
-            "Set FRACPICARD_MAX_THREADS to cap the threads used for family solves "
-            "(default: available cores)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

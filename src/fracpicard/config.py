@@ -214,9 +214,9 @@ def _build_problem(
     M1 = _float(m_entries["M1"], "M1")
     _checked(M1, M1 >= 0.0, f"M1 must be >= 0, got {M1}", m_entries["M1"].line)
     M2 = _float(m_entries["M2"], "M2")
-    _checked(M2, M2 > 0.0, f"M2 must be > 0, got {M2}", m_entries["M2"].line)
+    _checked(M2, M2 >= 0.0, f"M2 must be >= 0, got {M2}", m_entries["M2"].line)
     M3 = _float(m_entries["M3"], "M3")
-    _checked(M3, 0.0 < M3 < 1.0, f"M3 must lie in (0,1), got {M3}", m_entries["M3"].line)
+    _checked(M3, 0.0 <= M3 < 1.0, f"M3 must lie in [0,1), got {M3}", m_entries["M3"].line)
 
     spec = ProblemSpec(
         alpha=alpha, T=T, x0=np.array(x0), rhs=as_rhs(exprs), M1=M1, M2=M2, M3=M3

@@ -12,33 +12,31 @@ families of solutions selected by anchoring the derivative value at
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AnchorConditionError,
-    ContractionError,
-    DomainError,
-    GridMismatchError,
-    IterationError,
-)
-from .fracops import build_weights, frac_integral
+from .errors import AnchorConditionError, DomainError, IterationError
+# frac_integral is not called here.  It stays importable from this module
+# because the tracer self-test in perfbench/ checks that a function imported
+# into two modules is wrapped in both, using this module as the second.
+from .fracops import build_weights, frac_integral  # noqa: F401
 from .grid import GridFunction, UniformGrid
 from .sampling import halton_points
 from .solver import (
     ProblemSpec,
     SolverConfig,
+    _certified_report,
     _eval_grid,
+    _iterate,
+    _ml_weights,
     _weight_vector,
     bielecki_norm,
     check_contraction,
-    select_theta,
+    reconstruct_x,
+    resolve_theta,
 )
-from .specfun import mittag_leffler_array
 
 __all__ = [
     "ProblemPair",
@@ -57,14 +55,8 @@ __all__ = [
 # Tolerance for f(0, a, a) = a; anything larger disqualifies anchoring.
 _ANCHOR_TOL = 1e-10
 
-# Node 0 of an anchored iterate may drift by at most this much before
-# exact restoration; more indicates the anchor condition does not hold.
-_DRIFT_TOL = 1e-12
-
 # Safety factor applied to sampled suprema.
 _SAMPLE_SAFETY = 1.1
-
-_THREADS_ENV = "FRACPICARD_MAX_THREADS"
 
 
 @dataclass(frozen=True)
@@ -129,19 +121,6 @@ class AnchorCheck(NamedTuple):
     worst_violation: float
 
 
-def _admissible_q(pair: ProblemPair, theta: float) -> float:
-    if theta <= 0.0:
-        raise DomainError(f"theta must be > 0, got {theta}")
-    m2, m3 = pair.worst_constants()
-    q = m2 / theta + m3
-    if q >= 1.0:
-        raise DomainError(
-            f"theta={theta:g} gives weighted factor {q:g} >= 1; "
-            f"need theta > {m2 / (1.0 - m3):g}"
-        )
-    return q
-
-
 def dependence_bound(pair: ProblemPair, theta: float) -> float:
     """A priori distance bound between the two problems' solutions.
 
@@ -159,7 +138,7 @@ def dependence_bound(pair: ProblemPair, theta: float) -> float:
     Returns:
         The bound (finite, nonnegative).
     """
-    q = _admissible_q(pair, theta)
+    _, q = resolve_theta(*pair.worst_constants(), theta)
     dx0 = float(np.linalg.norm(pair.spec_f.x0 - pair.spec_g.x0))
     return dx0 + pair.k_eta / (theta * (1.0 - q))
 
@@ -232,55 +211,6 @@ def _family_radius(spec: ProblemSpec, anchors: Sequence[np.ndarray], K: float, q
     return max(1.0, biggest)
 
 
-def _solve_member(
-    spec: ProblemSpec,
-    weights,
-    wt: np.ndarray,
-    anchor: np.ndarray,
-    config: SolverConfig,
-    index: int,
-) -> tuple[GridFunction, GridFunction]:
-    grid = weights.grid
-    t = grid.nodes()[:, None]
-    z = GridFunction.constant(grid, anchor)
-    for _ in range(config.max_iter):
-        ix = frac_integral(weights, z)
-        out = np.array(_eval_grid(spec, t, anchor + ix.values, z.values))
-        drift = float(np.linalg.norm(out[0] - anchor))
-        if drift > _DRIFT_TOL:
-            raise AnchorConditionError(
-                f"member {index}: node 0 drifted by {drift:.3e} in one step; "
-                "the time-zero identity does not hold at this anchor",
-                worst_violation=drift,
-            )
-        out[0] = anchor  # exact restoration
-        step = float(np.max(np.linalg.norm(out - z.values, axis=1) / wt))
-        z = GridFunction(grid, out)
-        if step <= config.tol:
-            ix = frac_integral(weights, z)
-            x_values = anchor[None, :] + ix.values
-            x_values[0] = anchor
-            return z, GridFunction(grid, x_values)
-    raise IterationError(
-        f"member {index} (anchor {np.array2string(anchor)}) did not reach "
-        f"tol={config.tol:g} within {config.max_iter} iterations"
-    )
-
-
-def _worker_count(members: int) -> int:
-    cap = os.environ.get(_THREADS_ENV)
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError as exc:
-            raise DomainError(f"{_THREADS_ENV} must be an integer, got {cap!r}") from exc
-        if limit < 1:
-            raise DomainError(f"{_THREADS_ENV} must be >= 1, got {limit}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(limit, members))
-
-
 def solve_family(
     spec: ProblemSpec, anchors: Sequence, config: SolverConfig
 ) -> SolutionFamily:
@@ -292,10 +222,9 @@ def solve_family(
     with the map ``z -> f(t, z(0) + I^alpha z, z(t))``, starting from the
     constant ``a``, restoring node 0 to ``a`` exactly after every step
     (drift beyond 1e-12 is an error), and reconstructs the state as
-    ``x = z(0) + I^alpha z``.  Members are independent and may be solved
-    in parallel threads; the ``FRACPICARD_MAX_THREADS`` environment
-    variable caps the thread count (default: available cores).  Results
-    do not depend on the scheduling.
+    ``x = z(0) + I^alpha z``.  Members run one after another through the
+    same Picard loop as :func:`solve`, each on the problem with ``x0``
+    replaced by its anchor, and share one set of weights.
 
     Args:
         spec: the problem; its ``x0`` is ignored (anchors replace it).
@@ -310,6 +239,7 @@ def solve_family(
             node 0 drifts during iteration.
         ContractionError: if the contraction certificate fails and
             ``config.force`` is not set.
+        DomainError: if ``theta_override`` breaks the weighted contraction.
         IterationError: if any member exhausts ``config.max_iter``.
     """
     if len(anchors) == 0:
@@ -322,19 +252,7 @@ def solve_family(
         v.flags.writeable = False
         anchor_vecs.append(v)
 
-    report = check_contraction(spec, config.n)
-    if not report.contraction_ok and not config.force:
-        raise ContractionError(
-            f"contraction factor q={report.q_global:g} is not below 1; "
-            "shrink T or the Lipschitz constants, or set force to iterate anyway"
-        )
-    theta = config.theta_override if config.theta_override is not None else report.theta
-    q_b = spec.M2 / theta + spec.M3
-    if q_b >= 1.0:
-        raise DomainError(
-            f"theta_override={theta:g} gives weighted factor {q_b:g} >= 1"
-        )
-
+    report = _certified_report(spec, config)
     radius = _family_radius(spec, anchor_vecs, report.K, report.q_global)
     check = check_anchor_condition(spec, radius, samples=256)
     if not check.ok:
@@ -346,21 +264,19 @@ def solve_family(
 
     grid = UniformGrid(spec.T, config.n)
     weights = build_weights(spec.alpha, grid)
-    wt = _weight_vector(grid, spec.alpha, theta)
+    wt = _weight_vector(grid, spec.alpha, report.theta)
 
-    workers = _worker_count(len(anchor_vecs))
-    if workers == 1:
-        pairs = [
-            _solve_member(spec, weights, wt, a, config, i)
-            for i, a in enumerate(anchor_vecs)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solve_member, spec, weights, wt, a, config, i)
-                for i, a in enumerate(anchor_vecs)
-            ]
-            pairs = [f.result() for f in futures]
+    pairs = []
+    for i, anchor in enumerate(anchor_vecs):
+        member = replace(spec, x0=anchor)
+        start = GridFunction.constant(grid, anchor)
+        z, _, converged = _iterate(member, weights, wt, start, config, member=i)
+        if not converged:
+            raise IterationError(
+                f"member {i} (anchor {np.array2string(anchor)}) did not reach "
+                f"tol={config.tol:g} within {config.max_iter} iterations"
+            )
+        pairs.append((z, reconstruct_x(member, weights, z)))
     return SolutionFamily(anchors=tuple(anchor_vecs), solutions=tuple(pairs))
 
 
@@ -387,7 +303,7 @@ def family_hausdorff_bound(pair: ProblemPair, theta: float) -> float:
         AnchorConditionError: if either problem fails the sampled
             time-zero identity.
     """
-    q = _admissible_q(pair, theta)
+    _, q = resolve_theta(*pair.worst_constants(), theta)
     for label, spec in (("first", pair.spec_f), ("second", pair.spec_g)):
         rep = check_contraction(spec, n=64)
         radius = rep.R if rep.R is not None else 1.0
@@ -458,7 +374,5 @@ def estimate_ml_gap(
     if theta <= 0.0:
         raise DomainError(f"theta must be > 0, got {theta}")
     times, gaps = _sampled_gaps(spec_f, spec_g, radius, samples)
-    alpha = spec_f.alpha
-    args = np.array([theta * t**alpha for t in times.tolist()])
-    weights = mittag_leffler_array(alpha, args, strict=True)
+    weights = _ml_weights(times, spec_f.alpha, theta)
     return _SAMPLE_SAFETY * float(np.max(gaps / weights))

@@ -184,8 +184,7 @@ def linear_problem(lam: float, alpha: float, x0: float, T: float) -> Fixture:
     """Linear oracle problem ``D^alpha x = lam * x``.
 
     The solution is ``x(t) = x0 * E_alpha(lam * t**alpha)`` with
-    derivative ``lam * x(t)``.  ``M2`` is ``|lam|`` (floored at 1e-12 to
-    stay a valid spec when ``lam = 0``) and ``M3`` is a 1e-6 placeholder
+    derivative ``lam * x(t)``.  ``M2`` is ``|lam|`` and ``M3`` is zero,
     since the right-hand side ignores ``y``.
 
     Args:
@@ -212,8 +211,8 @@ def linear_problem(lam: float, alpha: float, x0: float, T: float) -> Fixture:
         x0=np.array([float(x0)]),
         rhs=rhs,
         M1=0.0,
-        M2=max(abs(lam), 1e-12),
-        M3=1e-6,
+        M2=abs(lam),
+        M3=0.0,
     )
     return Fixture(
         name=f"linear(lam={lam:g}, alpha={alpha:g}, x0={x0:g}, T={T:g})",

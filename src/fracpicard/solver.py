@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractionError, DomainError, RhsEvaluationError
+from .errors import AnchorConditionError, ContractionError, DomainError, RhsEvaluationError
 from .fracops import FracWeights, build_weights, caputo_l1, frac_integral
 from .grid import GridFunction, UniformGrid
 from .specfun import mittag_leffler_array
@@ -36,6 +36,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "Residuals",
+    "resolve_theta",
     "select_theta",
     "check_contraction",
     "bielecki_norm",
@@ -49,6 +50,10 @@ __all__ = [
 
 # Safety factor applied to the sampled magnitude of f(t, 0, 0).
 _K_SAFETY = 1.1
+
+# Node 0 of an anchored iterate may drift by at most this much before
+# exact restoration; more indicates the anchor condition does not hold.
+_DRIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class ProblemSpec:
             it with numpy operations (``lambda t, x, y: 0.5 * x``), or
             lift a per-node callable with :func:`pointwise`.
         M1: Lipschitz constant of ``f`` in ``t``, ``>= 0``.
-        M2: Lipschitz constant of ``f`` in ``x``, ``> 0``.
-        M3: Lipschitz constant of ``f`` in ``y``, in ``(0, 1)``.  This is
+        M2: Lipschitz constant of ``f`` in ``x``, ``>= 0``.
+        M3: Lipschitz constant of ``f`` in ``y``, in ``[0, 1)``.  This is
             the implicitness strength; values ``>= 1`` leave the inner
             equation unsolvable by iteration.
     """
@@ -94,10 +99,10 @@ class ProblemSpec:
             raise DomainError("rhs must be callable")
         if self.M1 < 0.0:
             raise DomainError(f"M1 must be >= 0, got {self.M1}")
-        if self.M2 <= 0.0:
-            raise DomainError(f"M2 must be > 0, got {self.M2}")
-        if not (0.0 < self.M3 < 1.0):
-            raise DomainError(f"M3 must lie in (0,1), got {self.M3}")
+        if not (self.M2 >= 0.0):
+            raise DomainError(f"M2 must be >= 0, got {self.M2}")
+        if not (0.0 <= self.M3 < 1.0):
+            raise DomainError(f"M3 must lie in [0,1), got {self.M3}")
 
     @property
     def dim(self) -> int:
@@ -252,15 +257,39 @@ def _eval_grid(spec: ProblemSpec, t: np.ndarray, x: np.ndarray, y: np.ndarray) -
     return value
 
 
-def select_theta(spec: ProblemSpec) -> float:
-    """Weight scale for the step norm: ``max(1, 2 * M2 / (1 - M3))``.
+def resolve_theta(M2: float, M3: float, override: float | None = None) -> tuple[float, float]:
+    """Weight scale ``theta`` for the step norm and its factor ``M2 / theta + M3``.
 
-    This choice puts the weighted contraction factor ``M2 / theta + M3``
-    at or below ``(1 + M3) / 2``, bounded away from one, while keeping
-    the weights at least one so that weighted norms never exceed plain
-    supremum norms.
+    Without an override the scale is ``max(1, 2 * M2 / (1 - M3))``.  This
+    puts the weighted contraction factor at or below ``(1 + M3) / 2``,
+    bounded away from one, while keeping the weights at least one so that
+    weighted norms never exceed plain supremum norms.  An override is
+    used as given.
+
+    Returns:
+        ``(theta, q)`` with ``q = M2 / theta + M3``.
+
+    Raises:
+        DomainError: if the override is not positive, or leaves ``q >= 1``.
     """
-    return max(1.0, 2.0 * spec.M2 / (1.0 - spec.M3))
+    if override is None:
+        theta = max(1.0, 2.0 * M2 / (1.0 - M3))
+    elif not (override > 0.0):
+        raise DomainError(f"theta must be > 0, got {override}")
+    else:
+        theta = override
+    q = M2 / theta + M3
+    if q >= 1.0:
+        raise DomainError(
+            f"theta = {theta:g} gives weighted factor {q:g} >= 1; "
+            f"need theta > {M2 / (1.0 - M3):g}"
+        )
+    return theta, q
+
+
+def select_theta(spec: ProblemSpec) -> float:
+    """Default weight scale of ``spec``: ``max(1, 2 * M2 / (1 - M3))`` (see :func:`resolve_theta`)."""
+    return resolve_theta(spec.M2, spec.M3)[0]
 
 
 def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
@@ -285,8 +314,7 @@ def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
 
     q_global = spec.M2 * spec.T**spec.alpha / math.gamma(spec.alpha + 1.0) + spec.M3
     ok = q_global < 1.0
-    theta = select_theta(spec)
-    q_bielecki = spec.M2 / theta + spec.M3
+    theta, q_bielecki = resolve_theta(spec.M2, spec.M3)
 
     R = L = None
     if ok:
@@ -303,23 +331,30 @@ def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
     )
 
 
+def _ml_weights(times: np.ndarray, alpha: float, theta: float) -> np.ndarray:
+    """Weights ``E_alpha(theta * t**alpha)`` at each of ``times``.
+
+    The values are bitwise those of :func:`bielecki_weight` time by
+    time, and the first time the series cannot evaluate raises its error.
+    """
+    # Each argument is formed time by time with the scalar power that
+    # bielecki_weight applies to one time; numpy's array power can differ
+    # from it in the last bit.
+    args = np.array([theta * t**alpha for t in times.tolist()])
+    return mittag_leffler_array(alpha, args, strict=True)
+
+
 @functools.lru_cache(maxsize=32)
 def _weight_vector(grid: UniformGrid, alpha: float, theta: float) -> np.ndarray:
-    """Norm weights ``E_alpha(theta * t_k**alpha)`` on ``grid``, built once per key.
+    """Norm weights :func:`_ml_weights` on ``grid``'s nodes, built once per key.
 
     Every norm on one grid with one ``(alpha, theta)`` shares the same
     read-only array, so a solve and all distances measured after it pay
-    for the Mittag-Leffler series once.  The values are bitwise those of
-    :func:`bielecki_weight` node by node, and the first node the series
-    cannot evaluate raises its error.
+    for the Mittag-Leffler series once.
     """
     if theta <= 0.0:
         raise DomainError(f"norm weights require theta > 0, got {theta}")
-    # Each argument is formed node by node with the scalar power that
-    # bielecki_weight applies to one node; numpy's array power can differ
-    # from it in the last bit.
-    args = np.array([theta * t**alpha for t in grid.nodes()])
-    wt = mittag_leffler_array(alpha, args, strict=True)
+    wt = _ml_weights(grid.nodes(), alpha, theta)
     wt.flags.writeable = False
     return wt
 
@@ -378,6 +413,71 @@ def reconstruct_x(spec: ProblemSpec, weights: FracWeights, z: GridFunction) -> G
     return GridFunction(z.grid, spec.x0[None, :] + ix.values)
 
 
+def _certified_report(spec: ProblemSpec, config: SolverConfig) -> ContractionReport:
+    """The contraction certificate under ``config``'s weight scale.
+
+    The scale is resolved before the certificate samples the right-hand
+    side, so a bad ``theta_override`` is reported first.
+
+    Raises:
+        DomainError: if ``theta_override`` breaks the weighted contraction.
+        ContractionError: if the certificate fails and ``config.force`` is
+            not set.
+    """
+    theta, q_b = resolve_theta(spec.M2, spec.M3, config.theta_override)
+    report = replace(check_contraction(spec, config.n), theta=theta, q_bielecki=q_b)
+    if not report.contraction_ok and not config.force:
+        raise ContractionError(
+            f"contraction factor q={report.q_global:g} is not below 1; "
+            "shrink T or the Lipschitz constants, or set force to iterate anyway"
+        )
+    return report
+
+
+def _iterate(
+    spec: ProblemSpec,
+    weights: FracWeights,
+    wt: np.ndarray,
+    z: GridFunction,
+    config: SolverConfig,
+    member: int | None = None,
+) -> tuple[GridFunction, list[float], bool]:
+    """Apply :func:`picard_step` from ``z`` until a step is at most ``config.tol``.
+
+    Each step is measured as ``max_k |dz_k| / wt_k``, at most
+    ``config.max_iter`` times.  For family member ``member`` node 0 is
+    pinned to the anchor ``spec.x0``: it is restored exactly after every
+    step, and a drift above ``_DRIFT_TOL`` means the time-zero identity
+    fails there.
+
+    Returns:
+        ``(z, step_norms, converged)``, ``z`` being the last iterate.
+
+    Raises:
+        AnchorConditionError: if node 0 of member ``member`` drifts.
+    """
+    step_norms: list[float] = []
+    for _ in range(config.max_iter):
+        z_next = picard_step(spec, weights, z)
+        if member is not None:
+            values = np.array(z_next.values)
+            drift = float(np.linalg.norm(values[0] - spec.x0))
+            if drift > _DRIFT_TOL:
+                raise AnchorConditionError(
+                    f"member {member}: node 0 drifted by {drift:.3e} in one step; "
+                    "the time-zero identity does not hold at this anchor",
+                    worst_violation=drift,
+                )
+            values[0] = spec.x0  # exact restoration
+            z_next = GridFunction(z.grid, values)
+        step = float(np.max(np.linalg.norm(z_next.values - z.values, axis=1) / wt))
+        step_norms.append(step)
+        z = z_next
+        if step <= config.tol:
+            return z, step_norms, True
+    return z, step_norms, False
+
+
 def solve(spec: ProblemSpec, config: SolverConfig) -> SolveReport:
     """Run Picard iteration to the fixed point of the derivative map.
 
@@ -401,22 +501,7 @@ def solve(spec: ProblemSpec, config: SolverConfig) -> SolveReport:
         DomainError: if ``theta_override`` breaks the weighted
             contraction, or the initial guess is on the wrong grid.
     """
-    report = check_contraction(spec, config.n)
-    if config.theta_override is not None:
-        theta = config.theta_override
-        q_b = spec.M2 / theta + spec.M3
-        if q_b >= 1.0:
-            raise DomainError(
-                f"theta_override={theta:g} gives weighted factor {q_b:g} >= 1; "
-                f"need theta > {spec.M2 / (1.0 - spec.M3):g}"
-            )
-        report = replace(report, theta=theta, q_bielecki=q_b)
-    if not report.contraction_ok and not config.force:
-        raise ContractionError(
-            f"contraction factor q={report.q_global:g} is not below 1; "
-            "shrink T or the Lipschitz constants, or set force to iterate anyway"
-        )
-
+    report = _certified_report(spec, config)
     grid = UniformGrid(spec.T, config.n)
     weights = build_weights(spec.alpha, grid)
     wt = _weight_vector(grid, spec.alpha, report.theta)
@@ -434,36 +519,18 @@ def solve(spec: ProblemSpec, config: SolverConfig) -> SolveReport:
         z0 = _eval_grid(spec, np.zeros((1, 1)), spec.x0[None, :], np.zeros((1, spec.dim)))
         z = GridFunction.constant(grid, z0[0])
 
-    step_norms: list[float] = []
-    ratios: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iter):
-        z_next = picard_step(spec, weights, z)
-        diff = np.linalg.norm(z_next.values - z.values, axis=1)
-        step = float(np.max(diff / wt))
-        if step_norms and step_norms[-1] > 0.0:
-            ratios.append(step / step_norms[-1])
-        step_norms.append(step)
-        z = z_next
-        iterations += 1
-        if step <= config.tol:
-            converged = True
-            break
-
+    z, step_norms, converged = _iterate(spec, weights, wt, z, config)
     q = report.q_bielecki
-    bound = q * step_norms[-1] / (1.0 - q)
-    x = reconstruct_x(spec, weights, z)
     return SolveReport(
         converged=converged,
         certified=report.contraction_ok and converged,
-        iterations=iterations,
+        iterations=len(step_norms),
         step_norms=tuple(step_norms),
-        ratio_estimates=tuple(ratios),
-        a_posteriori_bound=bound,
+        ratio_estimates=tuple(b / a for a, b in zip(step_norms, step_norms[1:]) if a > 0.0),
+        a_posteriori_bound=q * step_norms[-1] / (1.0 - q),
         contraction=report,
         z=z,
-        x=x,
+        x=reconstruct_x(spec, weights, z),
     )
 
 

@@ -342,3 +342,39 @@ class TestArgparse:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "fracpicard" in capsys.readouterr().out
+
+
+class TestThetaMessage:
+    # M2 / 1.1 + M3 = 1.045 >= 1: one text from every subcommand.
+    CFG = (
+        "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 1\nrhs = 0.75*x + 0.25*y\n"
+        "M1 = 0.125\nM2 = 0.875\nM3 = 0.25\n[solver]\nn = 32\ntheta = 1.1\n"
+        "[compare]\nx0 = 1\nrhs = 0.75*x + 0.25*y + t/8\nM1 = 0.125\nM2 = 0.875\nM3 = 0.25\n"
+        "[family]\nanchors = 0.5, 1\n"
+    )
+    MESSAGE = "error: theta = 1.1 gives weighted factor 1.04545 >= 1; need theta > 1.16667\n"
+
+    @staticmethod
+    def _run(command, cfg, tmp_path):
+        outputs = {"solve": ["--out", str(tmp_path / "run.csv")], "family": ["--out-dir", str(tmp_path / "fam")]}
+        return cli.main([command, cfg] + outputs.get(command, []))
+
+    @pytest.mark.parametrize("command", ["check", "solve", "depend", "family"])
+    def test_too_small_theta_has_one_message(self, write_config, tmp_path, capsys, command):
+        assert self._run(command, write_config(self.CFG), tmp_path) == 2
+        assert capsys.readouterr().err == self.MESSAGE
+
+    @pytest.mark.parametrize("command", ["solve", "family"])
+    def test_theta_is_checked_before_the_certificate(self, write_config, tmp_path, capsys, command):
+        # T = 4 fails the certificate (exit 3 alone); the bad theta wins.
+        cfg = write_config(self.CFG.replace("T = 0.5", "T = 4"))
+        assert self._run(command, cfg, tmp_path) == 2
+        assert capsys.readouterr().err == self.MESSAGE
+
+
+def test_import_leaves_concurrent_futures_out():
+    # The CLI's start-up imports no thread-pool machinery.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracpicard.__file__)))
+    code = "import fracpicard.cli, sys; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

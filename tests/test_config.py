@@ -178,7 +178,7 @@ class TestErrors:
 
     def test_domain_violation_carries_line(self):
         e = _err(FULL.replace("M3 = 0.5", "M3 = 2"))
-        assert "M3 must lie in (0,1), got 2.0" in str(e)
+        assert "M3 must lie in [0,1), got 2.0" in str(e)
         assert e.line == 8
 
     def test_component_count_mismatch(self):

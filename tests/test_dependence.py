@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fracpicard.dependence import (
     measured_distance,
     solve_family,
 )
+from fracpicard.config import parse_config
 from fracpicard.errors import (
     AnchorConditionError,
     ContractionError,
@@ -263,16 +265,52 @@ class TestSolveFamily:
                 floor = (1.0 - q_b) * abs(anchors[i] - anchors[j]) - 10.0 * tol
                 assert gap >= floor
 
-    def test_single_anchor_matches_plain_solve_bitwise(self):
-        # With the anchor equal to x0 the family member and the plain
-        # solve run the same iteration, so the outputs agree bit for bit.
+    @pytest.mark.parametrize("anchors", [[1.0], [0.25, -0.5, 1.0, 2.0]], ids=["one", "four"])
+    def test_members_match_plain_solve_bitwise(self, anchors):
+        # A member is the plain solve of the problem with x0 = a started
+        # from the constant a, so the outputs agree bit for bit.
         spec = _eigen_spec(x0=1.0)
         config = SolverConfig(n=128, tol=1e-10)
-        family = solve_family(spec, [1.0], config)
-        plain = solve(spec, config)
-        z_fam, x_fam = family.solutions[0]
-        assert np.array_equal(z_fam.values, plain.z.values)
-        assert np.array_equal(x_fam.values, plain.x.values)
+        family = solve_family(spec, anchors, config)
+        grid = UniformGrid(spec.T, config.n)
+        for a, (z_fam, x_fam) in zip(anchors, family.solutions):
+            start = GridFunction.constant(grid, np.array([a]))
+            plain = solve(replace(spec, x0=a), replace(config, initial_guess=start))
+            assert np.array_equal(z_fam.values, plain.z.values)
+            assert np.array_equal(x_fam.values, plain.x.values)
+
+    def test_node_zero_drift_names_the_member(self):
+        # f(0, x, x) = x holds at the sampled points but not at x = 0.3,
+        # where the rhs adds one: member 1 drifts by 1 on its first step.
+        spec = ProblemSpec(
+            alpha=0.5,
+            T=0.5,
+            x0=np.array([1.0]),
+            rhs=lambda t, x, y: np.where(x == 0.3, y + 1.0, 0.75 * x + 0.25 * y),
+            M1=0.0,
+            M2=0.75,
+            M3=0.25,
+        )
+        with pytest.raises(AnchorConditionError, match=r"^member 1: node 0 drifted by 1\.000e\+00") as excinfo:
+            solve_family(spec, [0.5, 0.3], SolverConfig(n=64))
+        assert excinfo.value.worst_violation == 1.0
+
+    def test_small_drift_is_restored_exactly(self):
+        # f(0, x, x) = x + 1e-13 passes the sampled check, and node 0
+        # drifts by 1e-13 per step, below the drift tolerance: it is put
+        # back on the anchor after every step.
+        spec = ProblemSpec(
+            alpha=0.5,
+            T=0.5,
+            x0=np.array([1.0]),
+            rhs=lambda t, x, y: np.where(t == 0.0, y + 1e-13, 0.75 * x + 0.25 * y),
+            M1=0.0,
+            M2=0.75,
+            M3=0.25,
+        )
+        z, x = solve_family(spec, [0.5], SolverConfig(n=64)).solutions[0]
+        assert z.values[0, 0] == 0.5
+        assert x.values[0, 0] == 0.5
 
     def test_rejects_problem_without_anchor_identity(self, reference):
         with pytest.raises(AnchorConditionError) as excinfo:
@@ -300,25 +338,6 @@ class TestSolveFamily:
     def test_bad_anchor_shape(self):
         with pytest.raises(DomainError):
             solve_family(_eigen_spec(), [[1.0, 2.0]], SolverConfig(n=16))
-
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        spec = _eigen_spec()
-        config = SolverConfig(n=128, tol=1e-10)
-        monkeypatch.setenv("FRACPICARD_MAX_THREADS", "1")
-        serial = solve_family(spec, [0.5, 1.0, 1.5], config)
-        monkeypatch.setenv("FRACPICARD_MAX_THREADS", "3")
-        threaded = solve_family(spec, [0.5, 1.0, 1.5], config)
-        for (z_a, x_a), (z_b, x_b) in zip(serial.solutions, threaded.solutions):
-            assert np.array_equal(z_a.values, z_b.values)
-            assert np.array_equal(x_a.values, x_b.values)
-
-    def test_thread_cap_validation(self, monkeypatch):
-        monkeypatch.setenv("FRACPICARD_MAX_THREADS", "0")
-        with pytest.raises(DomainError):
-            solve_family(_eigen_spec(), [1.0], SolverConfig(n=16))
-        monkeypatch.setenv("FRACPICARD_MAX_THREADS", "two")
-        with pytest.raises(DomainError):
-            solve_family(_eigen_spec(), [1.0], SolverConfig(n=16))
 
 
 class TestFamilyHausdorffBound:
@@ -385,6 +404,20 @@ class TestGapEstimators:
         assert 0.24 <= eta <= 0.275 + 1e-12
         assert 0.0 < ml < 0.05
         assert ml < eta
+
+    def test_ml_gap_value_is_pinned(self):
+        # The family benchmark's pair at its pair theta and sampling radius.
+        # estimate_ml_gap shares the norm-weight builder, which must leave
+        # this value unchanged to the last bit.
+        common = "M1 = 0.125\nM2 = 0.875\nM3 = 0.25\n"
+        cfg = parse_config(
+            "[problem]\nalpha = 0.5\nT = 0.5\nx0 = 1\nrhs = 0.75*x + 0.25*y + t*sin(x)/8\n"
+            + common
+            + "[solver]\nn = 256\n[compare]\nx0 = 1\nrhs = 0.75*x + 0.25*y + t*cos(x)/8\n"
+            + common
+        )
+        value = estimate_ml_gap(cfg.problem, cfg.compare, 2.3333333333333335, 18.201188613036944)
+        assert value.hex() == "0x1.d634385967097p-8"
 
     def test_bad_arguments(self):
         spec = _eigen_spec()

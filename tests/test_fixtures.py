@@ -128,7 +128,7 @@ class TestLinear:
         fx = linear_problem(0.8, 0.5, 1.0, 0.5)
         assert fx.spec.M1 == 0.0
         assert fx.spec.M2 == pytest.approx(0.8)
-        assert fx.spec.M3 == pytest.approx(1e-6)
+        assert fx.spec.M3 == 0.0
 
     def test_integer_order_is_out_of_scope(self):
         # the classical first-order case collapses to exp, but the solver's

@@ -3,6 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fracpicard.dependence import (
+    ProblemPair,
+    dependence_bound,
+    family_hausdorff_bound,
+    solve_family,
+)
 from fracpicard.errors import (
     ContractionError,
     DomainError,
@@ -21,6 +27,7 @@ from fracpicard.solver import (
     picard_step,
     reconstruct_x,
     residual_caputo,
+    resolve_theta,
     select_theta,
     solve,
 )
@@ -55,9 +62,9 @@ class TestProblemSpec:
             {"T": -1.0},
             {"T": math.inf},
             {"M1": -0.1},
-            {"M2": 0.0},
+            {"M2": math.nan},
             {"M2": -1.0},
-            {"M3": 0.0},
+            {"M3": -0.1},
             {"M3": 1.0},
             {"M3": 1.5},
             {"x0": math.nan},
@@ -68,8 +75,19 @@ class TestProblemSpec:
             _spec(**kwargs)
 
     def test_m3_message_names_the_range(self):
-        with pytest.raises(DomainError, match=r"M3 must lie in \(0,1\), got 1.5"):
+        with pytest.raises(DomainError, match=r"M3 must lie in \[0,1\), got 1.5"):
             _spec(M3=1.5)
+
+    def test_accepts_zero_lipschitz_constants(self):
+        # D^{1/2} x = x/2 with M3 = 0 (the rhs ignores y): x = E_{1/2}(sqrt(t)/2).
+        assert _spec(M2=0.0).M2 == 0.0
+        spec = _spec(M3=0.0)
+        run = solve(spec, SolverConfig(n=1024, tol=1e-12))
+        assert run.converged and run.certified
+        assert run.contraction.theta == 1.0
+        assert run.contraction.q_bielecki == 0.5
+        exact = np.array([erfc_identity(0.5 * math.sqrt(t)) for t in run.x.grid.nodes()])
+        assert float(np.abs(run.x.values[:, 0] - exact).max()) <= 1e-4
 
 
 class TestSolverConfig:
@@ -105,6 +123,34 @@ class TestSelectTheta:
             assert theta >= 1.0
             assert m2 / theta + m3 <= (1.0 + m3) / 2.0 + 1e-12
             assert m2 / theta + m3 < 1.0
+
+
+class TestResolveTheta:
+    def test_default_and_override(self):
+        assert resolve_theta(0.5, 0.5) == (2.0, 0.75)
+        assert resolve_theta(0.0, 0.0) == (1.0, 0.0)
+        assert resolve_theta(0.5, 0.5, 4.0) == (4.0, 0.625)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_override(self, theta):
+        with pytest.raises(DomainError, match="theta must be > 0"):
+            resolve_theta(0.5, 0.5, theta)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: solve(spec, SolverConfig(n=16, theta_override=1.1)),
+            lambda spec: solve_family(spec, [1.0], SolverConfig(n=16, theta_override=1.1)),
+            lambda spec: dependence_bound(ProblemPair(spec, spec), 1.1),
+            lambda spec: family_hausdorff_bound(ProblemPair(spec, spec), 1.1),
+        ],
+        ids=["solve", "solve_family", "dependence_bound", "family_hausdorff_bound"],
+    )
+    def test_too_small_theta_has_one_message(self, call):
+        spec = _spec(M1=0.0, M2=0.875, M3=0.25, rhs=lambda t, x, y: 0.75 * x + 0.25 * y)
+        message = r"^theta = 1\.1 gives weighted factor 1\.04545 >= 1; need theta > 1\.16667$"
+        with pytest.raises(DomainError, match=message):
+            call(spec)
 
 
 class TestCheckContraction:
