@@ -40,7 +40,6 @@ from .fixtures import (
     Fixture,
     builtin_fixtures,
     comparison_problem,
-    export_config,
     get_fixture,
     linear_problem,
     reference_problem,
@@ -52,9 +51,7 @@ from .grid import GridFunction, UniformGrid
 from .config import RunConfig, load_config, parse_config
 from .rhsdsl import (
     Expr,
-    LipschitzEstimate,
     as_rhs,
-    estimate_lipschitz,
     evaluate,
     parse,
     to_source,
@@ -67,16 +64,14 @@ from .solver import (
     SolverConfig,
     bielecki_norm,
     check_contraction,
-    chebyshev_norm,
     picard_step,
     pointwise,
     reconstruct_x,
     residual_caputo,
     resolve_theta,
-    select_theta,
     solve,
 )
-from .specfun import SeriesControl, bielecki_weight, gamma, mittag_leffler
+from .specfun import mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -96,14 +91,12 @@ __all__ = [
     "GridFunction",
     "GridMismatchError",
     "IterationError",
-    "LipschitzEstimate",
     "ParseError",
     "ProblemPair",
     "ProblemSpec",
     "Residuals",
     "RhsEvaluationError",
     "RunConfig",
-    "SeriesControl",
     "SeriesConvergenceError",
     "SolutionFamily",
     "SolveReport",
@@ -111,23 +104,18 @@ __all__ = [
     "UniformGrid",
     "as_rhs",
     "bielecki_norm",
-    "bielecki_weight",
     "build_weights",
     "builtin_fixtures",
     "caputo_l1",
     "check_anchor_condition",
     "check_contraction",
-    "chebyshev_norm",
     "comparison_problem",
     "dependence_bound",
     "estimate_eta_sup",
-    "estimate_lipschitz",
     "estimate_ml_gap",
     "evaluate",
-    "export_config",
     "family_hausdorff_bound",
     "frac_integral",
-    "gamma",
     "get_fixture",
     "hausdorff_distance",
     "linear_problem",
@@ -142,7 +130,6 @@ __all__ = [
     "reference_problem",
     "residual_caputo",
     "resolve_theta",
-    "select_theta",
     "shifted_reference_problem",
     "solve",
     "solve_family",

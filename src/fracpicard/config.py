@@ -36,17 +36,16 @@ _FALSE_WORDS = {"false", "no", "off", "0"}
 class RunConfig:
     """Everything a CLI command needs, parsed and validated.
 
-    ``fixture`` (and ``compare_fixture``) are set when the corresponding
-    section named a built-in problem, so commands can report against its
-    ground truth.  ``k_eta`` / ``k_ml`` are ``None`` when the config did
-    not supply them; commands estimate and label them in that case.
+    ``fixture`` is set when the problem section named a built-in problem,
+    so commands can report against its ground truth.  ``k_eta`` / ``k_ml``
+    are ``None`` when the config did not supply them; commands estimate
+    and label them in that case.
     """
 
     problem: ProblemSpec
     solver: SolverConfig
     fixture: Fixture | None = None
     compare: ProblemSpec | None = None
-    compare_fixture: Fixture | None = None
     k_eta: float | None = None
     k_ml: float | None = None
     anchors: tuple[np.ndarray, ...] | None = None
@@ -310,7 +309,7 @@ def parse_config(text: str) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    compare = compare_fixture = None
+    compare = None
     k_eta = k_ml = None
     if "compare" in sections:
         table = sections["compare"]
@@ -325,7 +324,7 @@ def parse_config(text: str) -> RunConfig:
             _checked(k_ml, k_ml >= 0.0, f"K_ml must be >= 0, got {k_ml}", entry.line)
         bare = {k: v for k, v in table.items() if k not in ("K_eta", "K_ml")}
         try:
-            compare, compare_fixture = _build_problem(
+            compare, _ = _build_problem(
                 "compare", bare, shared=(problem.alpha, problem.T)
             )
         except DomainError as exc:
@@ -349,7 +348,6 @@ def parse_config(text: str) -> RunConfig:
         solver=solver,
         fixture=fixture,
         compare=compare,
-        compare_fixture=compare_fixture,
         k_eta=k_eta,
         k_ml=k_ml,
         anchors=anchors,

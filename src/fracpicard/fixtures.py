@@ -4,16 +4,15 @@ Three of a kind: a reference problem whose solution is known in closed
 form, a constant-shift companion of it (also exact) for distance-bound
 demonstrations, and a comparison variant with no known closed form that
 pairs with the reference in bound checks.  A linear family rounds these
-out as a tunable oracle.  Each fixture can export itself as a CLI config
-file, so the documented command lines run against exactly these
-problems.
+out as a tunable oracle.  Config files name these problems with the
+``fixture`` key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +30,9 @@ __all__ = [
     "builtin_fixtures",
     "get_fixture",
     "validate_exact",
-    "export_config",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# Supremum of the gap envelope sqrt(pi)/4 + sqrt(t) between the reference
-# and comparison right-hand sides over t in [0, 0.5], rounded as published.
-_REFERENCE_K_ETA = 1.1502
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,10 @@ class Fixture:
         name: registry key.
         spec: the problem definition.
         rhs_text: the right-hand side as a parseable formula (one per
-            component), used for config export.
+            component), the same function as ``spec.rhs``.
         exact_solution: closed-form ``t -> R^d`` state, or ``None``.
         exact_derivative: closed-form ``t -> R^d`` fractional derivative
             of the solution, or ``None``.
-        source: one line describing where the problem comes from and how
-            its ground truth was validated.
-        metadata: named constants associated with the fixture (for
-            example a recorded gap constant ``k_eta``).
     """
 
     name: str
@@ -64,8 +54,6 @@ class Fixture:
     rhs_text: tuple[str, ...]
     exact_solution: Callable[[float], np.ndarray] | None = None
     exact_derivative: Callable[[float], np.ndarray] | None = None
-    source: str = ""
-    metadata: Mapping[str, float] = field(default_factory=dict)
 
 
 def _reference_rhs(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -104,7 +92,6 @@ def reference_problem() -> Fixture:
         rhs_text=("sqrt(pi)/4 - t^(1/2)/2 + (x + abs(y))/2",),
         exact_solution=_reference_exact,
         exact_derivative=_reference_exact_derivative,
-        source="worked example with closed-form solution, validated by the residual self-check",
     )
 
 
@@ -123,8 +110,7 @@ def shifted_reference_problem() -> Fixture:
     initial value lowered to ``1 - sqrt(pi)/2``; the solution is the
     reference solution minus ``sqrt(pi)/2``, with the same derivative
     (constant shifts have zero fractional derivative).  Pairing it with
-    the reference problem exercises the data-dependence bound: the
-    recorded ``k_eta`` is the published gap supremum for that pairing.
+    the reference problem exercises the data-dependence bound.
     """
     spec = ProblemSpec(
         alpha=0.5,
@@ -141,11 +127,6 @@ def shifted_reference_problem() -> Fixture:
         rhs_text=("sqrt(pi)/2 - t^(1/2)/2 + (x + abs(y))/2",),
         exact_solution=_shifted_exact,
         exact_derivative=_reference_exact_derivative,
-        source=(
-            "constant-shift companion of the reference problem; the unique constant "
-            "making the shifted solution exact, validated by the residual self-check"
-        ),
-        metadata={"k_eta": _REFERENCE_K_ETA},
     )
 
 
@@ -159,7 +140,7 @@ def comparison_problem() -> Fixture:
     ``g(t, x, y) = sqrt(t)/2 + (x + |y|)/2`` with the same constants and
     initial value as the shifted companion.  Its gap to the reference
     right-hand side is enveloped by ``sqrt(pi)/4 + sqrt(t)``, whose
-    supremum ``1.1502`` is recorded as ``k_eta``; use it for bound
+    supremum over ``[0, 0.5]`` is ``1.1502`` rounded; use it for bound
     demonstrations only, never as ground truth.
     """
     spec = ProblemSpec(
@@ -175,8 +156,6 @@ def comparison_problem() -> Fixture:
         name="comparison",
         spec=spec,
         rhs_text=("t^(1/2)/2 + (x + abs(y))/2",),
-        source="bound-demonstration partner for the reference problem; no closed form known",
-        metadata={"k_eta": _REFERENCE_K_ETA},
     )
 
 
@@ -220,7 +199,6 @@ def linear_problem(lam: float, alpha: float, x0: float, T: float) -> Fixture:
         rhs_text=(f"{lam!r}*x",),
         exact_solution=exact,
         exact_derivative=exact_derivative,
-        source="synthetic linear problem with closed-form solution",
     )
 
 
@@ -275,58 +253,3 @@ def validate_exact(fixture: Fixture, n: int = 4096) -> tuple[float, float]:
     cap = float(np.max(np.linalg.norm(res.caputo.values[start:], axis=1)))
     return alg, cap
 
-
-def export_config(
-    fixture: Fixture,
-    n: int = 1024,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    theta: float | None = None,
-    compare: Fixture | None = None,
-    k_eta: float | None = None,
-) -> str:
-    """Render a fixture as a CLI config file.
-
-    Args:
-        fixture: the problem to export.
-        n, tol, max_iter, theta: solver section contents.
-        compare: optional second fixture for a compare section.
-        k_eta: optional gap constant for the compare section; defaults
-            to the compare fixture's recorded ``k_eta`` metadata if any.
-
-    Returns:
-        Config text in the CLI format, ending with a newline.
-    """
-    spec = fixture.spec
-    lines = [f"# {fixture.name}: {fixture.source}"]
-    lines.append("[problem]")
-    lines.append(f"alpha = {float(spec.alpha)!r}")
-    lines.append(f"T = {float(spec.T)!r}")
-    lines.append(f"x0 = {', '.join(repr(float(v)) for v in spec.x0)}")
-    for text in fixture.rhs_text:
-        lines.append(f"rhs = {text}")
-    lines.append(f"M1 = {spec.M1!r}")
-    lines.append(f"M2 = {spec.M2!r}")
-    lines.append(f"M3 = {spec.M3!r}")
-    lines.append("")
-    lines.append("[solver]")
-    lines.append(f"n = {n}")
-    lines.append(f"tol = {tol!r}")
-    lines.append(f"max_iter = {max_iter}")
-    if theta is not None:
-        lines.append(f"theta = {theta!r}")
-    if compare is not None:
-        comp = compare.spec
-        lines.append("")
-        lines.append("[compare]")
-        lines.append(f"x0 = {', '.join(repr(float(v)) for v in comp.x0)}")
-        for text in compare.rhs_text:
-            lines.append(f"rhs = {text}")
-        lines.append(f"M1 = {comp.M1!r}")
-        lines.append(f"M2 = {comp.M2!r}")
-        lines.append(f"M3 = {comp.M3!r}")
-        if k_eta is None:
-            k_eta = compare.metadata.get("k_eta")
-        if k_eta is not None:
-            lines.append(f"K_eta = {k_eta!r}")
-    return "\n".join(lines) + "\n"

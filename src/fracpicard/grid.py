@@ -92,7 +92,3 @@ class GridFunction:
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self.require_same_grid(other)
         return GridFunction(self.grid, self.values - other.values)
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self.require_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)

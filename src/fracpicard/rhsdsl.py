@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EvalError, FracpicardError, ParseError
-from .sampling import halton_points
 from .specfun import mittag_leffler, mittag_leffler_array
 
 __all__ = [
@@ -44,12 +43,10 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
-    "LipschitzEstimate",
     "parse",
     "evaluate",
     "to_source",
     "as_rhs",
-    "estimate_lipschitz",
 ]
 
 Span = tuple[int, int]
@@ -99,14 +96,6 @@ class Call:
 
 
 Expr = Union[Num, Const, Var, Neg, BinOp, Call]
-
-
-class LipschitzEstimate(NamedTuple):
-    """Sampled Lipschitz constants; estimates, not certificates."""
-
-    M1: float
-    M2: float
-    M3: float
 
 
 _TOKEN_RE = re.compile(
@@ -509,64 +498,3 @@ def as_rhs(exprs: Sequence[Expr]) -> Callable[[np.ndarray, np.ndarray, np.ndarra
 
     return rhs
 
-
-def estimate_lipschitz(
-    e: Expr, T: float, box_radius: float, samples: int
-) -> LipschitzEstimate:
-    """Sample Lipschitz constants of an expression in each argument.
-
-    Draws low-discrepancy pairs in ``[0, T] x [-box_radius, box_radius]**2``
-    that differ in one argument at a time, takes the largest observed
-    difference quotient per argument, and scales by a 1.2 safety factor.
-    The result is an estimate from finitely many samples, not a
-    certificate; treat it accordingly (and report it as an estimate).
-
-    Args:
-        e: the expression.
-        T: time horizon, ``> 0``.
-        box_radius: state box half-width, ``> 0``.
-        samples: number of sample pairs per argument, at least 100.
-
-    Returns:
-        ``LipschitzEstimate(M1, M2, M3)`` for the ``t``, ``x``, ``y``
-        slopes respectively.
-
-    Raises:
-        EvalError: from any sampled evaluation, with the sample's
-            coordinates appended.
-    """
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if box_radius <= 0.0:
-        raise ValueError(f"box_radius must be > 0, got {box_radius}")
-    if samples < 100:
-        raise ValueError(f"samples must be at least 100, got {samples}")
-
-    pts = halton_points(samples, 6)
-    slopes = [0.0, 0.0, 0.0]
-    for row in pts:
-        t0 = float(row[0]) * T
-        x0 = (2.0 * float(row[1]) - 1.0) * box_radius
-        y0 = (2.0 * float(row[2]) - 1.0) * box_radius
-        alt = (
-            float(row[3]) * T,
-            (2.0 * float(row[4]) - 1.0) * box_radius,
-            (2.0 * float(row[5]) - 1.0) * box_radius,
-        )
-        base_args = (t0, x0, y0)
-        try:
-            base = evaluate(e, t0, x0, y0)
-            for axis in range(3):
-                moved = list(base_args)
-                moved[axis] = alt[axis]
-                gap = abs(moved[axis] - base_args[axis])
-                if gap < 1e-12:
-                    continue
-                shifted = evaluate(e, *moved)
-                slopes[axis] = max(slopes[axis], abs(shifted - base) / gap)
-        except EvalError as exc:
-            raise EvalError(
-                f"{exc.message} while sampling at (t={t0:g}, x={x0:g}, y={y0:g})",
-                exc.span,
-            ) from exc
-    return LipschitzEstimate(1.2 * slopes[0], 1.2 * slopes[1], 1.2 * slopes[2])

@@ -37,10 +37,8 @@ __all__ = [
     "SolveReport",
     "Residuals",
     "resolve_theta",
-    "select_theta",
     "check_contraction",
     "bielecki_norm",
-    "chebyshev_norm",
     "picard_step",
     "solve",
     "reconstruct_x",
@@ -287,11 +285,6 @@ def resolve_theta(M2: float, M3: float, override: float | None = None) -> tuple[
     return theta, q
 
 
-def select_theta(spec: ProblemSpec) -> float:
-    """Default weight scale of ``spec``: ``max(1, 2 * M2 / (1 - M3))`` (see :func:`resolve_theta`)."""
-    return resolve_theta(spec.M2, spec.M3)[0]
-
-
 def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
     """Evaluate the contraction certificate for a problem.
 
@@ -334,12 +327,13 @@ def check_contraction(spec: ProblemSpec, n: int) -> ContractionReport:
 def _ml_weights(times: np.ndarray, alpha: float, theta: float) -> np.ndarray:
     """Weights ``E_alpha(theta * t**alpha)`` at each of ``times``.
 
-    The values are bitwise those of :func:`bielecki_weight` time by
-    time, and the first time the series cannot evaluate raises its error.
+    The values are bitwise those of :func:`mittag_leffler` at
+    ``theta * t**alpha`` time by time, and the first time the series
+    cannot evaluate raises its error.
     """
-    # Each argument is formed time by time with the scalar power that
-    # bielecki_weight applies to one time; numpy's array power can differ
-    # from it in the last bit.
+    # Each argument is formed time by time with Python's scalar power, so
+    # the weights stay bitwise equal to the per-node scalar series and the
+    # CSVs byte-identical; numpy's array power can differ in the last bit.
     args = np.array([theta * t**alpha for t in times.tolist()])
     return mittag_leffler_array(alpha, args, strict=True)
 
@@ -371,11 +365,6 @@ def bielecki_norm(z: GridFunction, alpha: float, theta: float) -> float:
     wt = _weight_vector(z.grid, alpha, theta)
     mags = np.linalg.norm(z.values, axis=1)
     return float(np.max(mags / wt))
-
-
-def chebyshev_norm(z: GridFunction) -> float:
-    """Unweighted supremum norm ``max_k |z_k|`` with Euclidean magnitudes."""
-    return float(np.max(np.linalg.norm(z.values, axis=1)))
 
 
 def picard_step(spec: ProblemSpec, weights: FracWeights, z: GridFunction) -> GridFunction:

@@ -1,4 +1,4 @@
-"""Special functions used by the solver: Gamma and one-parameter Mittag-Leffler.
+"""Special functions used by the solver: the one-parameter Mittag-Leffler function.
 
 The Mittag-Leffler function is the scale against which all convergence
 control in this package is measured: the weighted norm that makes the
@@ -12,60 +12,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SeriesConvergenceError
 
-__all__ = ["SeriesControl", "gamma", "mittag_leffler", "mittag_leffler_array", "bielecki_weight"]
+__all__ = ["mittag_leffler", "mittag_leffler_array"]
 
 # Series termination requires this many consecutive below-tolerance terms,
 # guarding against a term that dips early while the tail is still growing.
 _QUIET_TERMS = 3
 
-# math.gamma overflows just past 171.6; treat that as the domain edge.
-_GAMMA_MAX = 171.0
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the Mittag-Leffler power series.
-
-    Attributes:
-        rel_tol: relative tail tolerance; a term is negligible once its
-            magnitude falls below ``rel_tol`` times the partial sum.
-        max_terms: hard cap on the number of series terms.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 400
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise DomainError(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol}")
-        if self.max_terms < 50:
-            raise DomainError(f"max_terms must be at least 50, got {self.max_terms}")
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive real axis.
-
-    Args:
-        x: argument in ``(0, 171]``; values above overflow a float64.
-
-    Returns:
-        ``Gamma(x)``.
-
-    Raises:
-        DomainError: if ``x <= 0`` or ``x > 171``.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    if x > _GAMMA_MAX:
-        raise DomainError(f"gamma overflows for x > {_GAMMA_MAX:g}, got {x}")
-    return math.gamma(x)
+# Truncation policy: a term is negligible once its magnitude falls below
+# _REL_TOL times the partial sum; the series gives up after _MAX_TERMS terms.
+_REL_TOL = 1e-14
+_MAX_TERMS = 400
 
 
 @functools.lru_cache(maxsize=32)
@@ -91,18 +52,18 @@ def _series_step(total, comp, term, z, ratio):
     return t, (t - total) - y, term * (z * ratio)
 
 
-def _negligible(term, total, control: SeriesControl):
+def _negligible(term, total):
     """Whether the next term is below the tail tolerance, elementwise."""
-    return abs(term) < control.rel_tol * abs(total)
+    return abs(term) < _REL_TOL * abs(total)
 
 
-def _series_error(alpha: float, z: float, control: SeriesControl) -> Exception:
+def _series_error(alpha: float, z: float) -> Exception:
     """The error for an argument whose series cannot be evaluated."""
     if not (-5.0 <= z <= 200.0):
         return DomainError(f"mittag_leffler requires z in [-5, 200], got {z}")
     return SeriesConvergenceError(
         f"Mittag-Leffler series for alpha={alpha}, z={z} did not settle "
-        f"within {control.max_terms} terms"
+        f"within {_MAX_TERMS} terms"
     )
 
 
@@ -114,14 +75,15 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
-def mittag_leffler(alpha: float, z: float, control: SeriesControl | None = None) -> float:
+def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function ``E_alpha(z)``.
 
     Sums ``sum_k z**k / Gamma(alpha*k + 1)`` with Kahan-compensated
     accumulation.  Successive terms are generated by the running ratio
     ``term * z * exp(lgamma(alpha*k + 1) - lgamma(alpha*k + alpha + 1))``,
     which avoids forming huge powers and Gamma values separately.  The sum
-    stops once ``_QUIET_TERMS`` consecutive terms are negligible.
+    stops once ``_QUIET_TERMS`` consecutive terms are negligible, within a
+    fixed budget of 400 terms.
     :func:`mittag_leffler_array` runs the same steps elementwise.
 
     Args:
@@ -130,49 +92,41 @@ def mittag_leffler(alpha: float, z: float, control: SeriesControl | None = None)
             series converges at working precision for the weight arguments
             this package produces; far outside it the truncated series is
             no longer trustworthy.
-        control: optional truncation policy; defaults to
-            ``SeriesControl()``.
 
     Returns:
         ``E_alpha(z)``.
 
     Raises:
         DomainError: if ``alpha`` or ``z`` is outside the stated domain.
-        SeriesConvergenceError: if ``max_terms`` terms do not reach the
+        SeriesConvergenceError: if 400 terms do not reach the
             tolerance (possible for small ``alpha`` with large ``z``).
     """
     alpha = _check_order(alpha)
     z = float(z)
-    if control is None:
-        control = SeriesControl()
     if -5.0 <= z <= 200.0:
         total, comp, term = 0.0, 0.0, 1.0  # term is z**k / Gamma(alpha*k + 1)
         quiet = 0
-        for ratio in _term_ratios(alpha, control.max_terms):
+        for ratio in _term_ratios(alpha, _MAX_TERMS):
             total, comp, term = _series_step(total, comp, term, z, ratio)
-            quiet = quiet + 1 if _negligible(term, total, control) else 0
+            quiet = quiet + 1 if _negligible(term, total) else 0
             if quiet >= _QUIET_TERMS:
                 return total
-    raise _series_error(alpha, z, control)
+    raise _series_error(alpha, z)
 
 
-def mittag_leffler_array(
-    alpha: float, z: np.ndarray, control: SeriesControl | None = None, *, strict: bool = False
-) -> np.ndarray:
+def mittag_leffler_array(alpha: float, z: np.ndarray, *, strict: bool = False) -> np.ndarray:
     """``E_alpha`` at every element of ``z``, bitwise equal to :func:`mittag_leffler`.
 
     Runs the scalar function's steps elementwise, with a per-element quiet
     counter that freezes each element at the term where the scalar series
     returns.  An element fails where the scalar function raises: outside
     ``[-5, 200]`` (NaN included), or a series that does not settle within
-    ``max_terms`` terms.  Failed elements are NaN; with ``strict`` the
+    the 400-term budget.  Failed elements are NaN; with ``strict`` the
     first of them in C order raises the scalar function's error instead.
 
     Args:
         alpha: order, in ``(0, 1]``.
         z: arguments, any shape.
-        control: optional truncation policy; defaults to
-            ``SeriesControl()``.
         strict: raise for a failed element instead of returning NaN.
 
     Returns:
@@ -185,8 +139,6 @@ def mittag_leffler_array(
             does not settle.
     """
     alpha = _check_order(alpha)
-    if control is None:
-        control = SeriesControl()
     z = np.asarray(z, dtype=float)
     out = np.full(z.shape, np.nan)
     flat = out.reshape(-1)
@@ -200,11 +152,11 @@ def mittag_leffler_array(
     # Overflow leaves inf and NaN in the state, as in the scalar series;
     # such elements never settle and stay NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        for ratio in _term_ratios(alpha, control.max_terms):
+        for ratio in _term_ratios(alpha, _MAX_TERMS):
             if live.size == 0:
                 break
             total, comp, term = _series_step(total, comp, term, zl, ratio)
-            quiet = np.where(_negligible(term, total, control), quiet + 1, 0)
+            quiet = np.where(_negligible(term, total), quiet + 1, 0)
             done = quiet >= _QUIET_TERMS
             if done.any():
                 flat[live[done]] = total[done]
@@ -215,23 +167,6 @@ def mittag_leffler_array(
     if strict:
         failed = np.flatnonzero(np.isnan(flat))
         if failed.size:
-            raise _series_error(alpha, float(z.reshape(-1)[failed[0]]), control)
+            raise _series_error(alpha, float(z.reshape(-1)[failed[0]]))
     return out
 
-
-def bielecki_weight(alpha: float, theta: float, t: float) -> float:
-    """Weight ``E_alpha(theta * t**alpha)`` of the exponentially scaled norm.
-
-    Args:
-        alpha: order in ``(0, 1]``.
-        theta: scaling parameter, ``> 0``.
-        t: time, ``>= 0``.
-
-    Returns:
-        The weight value; always ``>= 1``.
-    """
-    if theta <= 0.0:
-        raise DomainError(f"bielecki_weight requires theta > 0, got {theta}")
-    if t < 0.0:
-        raise DomainError(f"bielecki_weight requires t >= 0, got {t}")
-    return mittag_leffler(alpha, theta * t**alpha)

@@ -15,6 +15,11 @@ def erfc_identity(z):
     return math.exp(z * z) * math.erfc(-z)
 
 
+def sup_norm(values):
+    """Supremum over nodes of the Euclidean magnitude of each row of ``values``."""
+    return float(np.max(np.linalg.norm(values, axis=1)))
+
+
 def ml_series(alpha, z, terms=200):
     """Plain-summation Mittag-Leffler series with per-term log evaluation.
 

@@ -21,11 +21,10 @@ from fracpicard import (
     build_weights,
     check_contraction,
     frac_integral,
-    gamma,
     hausdorff_distance,
     measured_distance,
     mittag_leffler,
-    select_theta,
+    resolve_theta,
     solve,
     solve_family,
 )
@@ -98,7 +97,7 @@ def test_criterion_03_contraction_rate_property(emit):
         alpha = rng.uniform(0.15, 0.95)
         lam = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
         x0 = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0)
-        horizon = min(2.0, (0.9 * gamma(alpha + 1.0) / abs(lam)) ** (1.0 / alpha))
+        horizon = min(2.0, (0.9 * math.gamma(alpha + 1.0) / abs(lam)) ** (1.0 / alpha))
         specs.append(linear_problem(lam, alpha, x0, horizon).spec)
 
     worst_excess = -math.inf
@@ -162,7 +161,7 @@ def test_criterion_05_special_function_accuracy(emit):
     )
     xs = np.logspace(math.log10(0.5), math.log10(20.0), 100)
     worst_rec = max(
-        abs(gamma(x + 1.0) - x * gamma(x)) / gamma(x + 1.0) for x in xs
+        abs(math.gamma(x + 1.0) - x * math.gamma(x)) / math.gamma(x + 1.0) for x in xs
     )
     ok = worst_exp <= 1e-12 and worst_half <= 1e-10 and worst_rec <= 1e-12
     emit(
@@ -277,8 +276,7 @@ def test_criterion_09_anchored_family_properties(emit):
     anchors = [np.array([0.25]), np.array([0.5]), np.array([1.0])]
     tol = 1e-10
     family = solve_family(spec, anchors, SolverConfig(n=512, tol=tol))
-    theta = select_theta(spec)
-    q_b = spec.M2 / theta + spec.M3
+    theta, q_b = resolve_theta(spec.M2, spec.M3)
 
     nodes = family.solutions[0][1].grid.nodes()
     anchored_exactly = all(

@@ -3,6 +3,7 @@ import pytest
 
 from fracpicard.config import load_config, parse_config
 from fracpicard.errors import ConfigError
+from fracpicard.fixtures import get_fixture
 
 BASE = "[problem]\nfixture = reference\n[solver]\nn = 64\n"
 FULL = (
@@ -89,7 +90,7 @@ class TestHappyPath:
     def test_compare_by_fixture(self):
         text = BASE + "[compare]\nfixture = comparison\nK_eta = 1.1502\nK_ml = 0.25\n"
         cfg = parse_config(text)
-        assert cfg.compare_fixture.name == "comparison"
+        assert cfg.compare.rhs is get_fixture("comparison").spec.rhs
         assert cfg.k_eta == 1.1502
         assert cfg.k_ml == 0.25
 

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fracpicard.config import parse_config
 from fracpicard.errors import DomainError
 from fracpicard.fixtures import (
     Fixture,
     builtin_fixtures,
-    export_config,
     get_fixture,
     linear_problem,
-    reference_problem,
     validate_exact,
 )
+from fracpicard.rhsdsl import as_rhs, parse
+from fracpicard.sampling import halton_points
 from fracpicard.specfun import mittag_leffler
 
 from oracles import erfc_identity
@@ -38,7 +37,17 @@ class TestRegistry:
             assert isinstance(fx, Fixture)
             assert fx.name == name
             assert fx.rhs_text
-            assert fx.source
+
+    @pytest.mark.parametrize("name", sorted(builtin_fixtures()))
+    def test_rhs_text_matches_spec_rhs(self, name):
+        # The formula a config file would carry is the fixture's own rhs.
+        fx = builtin_fixtures()[name]
+        pts = halton_points(300, 3)
+        t = pts[:, :1] * fx.spec.T
+        x = 4.0 * pts[:, 1:2] - 2.0
+        y = 4.0 * pts[:, 2:] - 2.0
+        formula = as_rhs([parse(text) for text in fx.rhs_text])
+        np.testing.assert_allclose(formula(t, x, y), fx.spec.rhs(t, x, y), rtol=0.0, atol=1e-15)
 
 
 class TestReference:
@@ -80,10 +89,6 @@ class TestShiftedReference:
         assert alg <= 1e-12
         assert cap <= 1e-4
 
-    def test_gap_constant_recorded(self):
-        fx = get_fixture("shifted_reference")
-        assert fx.metadata["k_eta"] == pytest.approx(1.1502)
-
 
 class TestComparison:
     def test_no_ground_truth(self):
@@ -97,7 +102,6 @@ class TestComparison:
         ref = get_fixture("reference")
         assert fx.spec.alpha == ref.spec.alpha
         assert fx.spec.T == ref.spec.T
-        assert fx.metadata["k_eta"] == pytest.approx(1.1502)
 
 
 class TestLinear:
@@ -139,35 +143,3 @@ class TestLinear:
         for t in [0.0, 0.5, 1.0, 2.0]:
             assert mittag_leffler(1.0, t) == pytest.approx(math.exp(t), rel=1e-12)
 
-
-class TestExportConfig:
-    def test_round_trip_single(self, reference):
-        text = export_config(reference, n=256, tol=1e-9, theta=2.0)
-        cfg = parse_config(text)
-        assert cfg.problem.alpha == reference.spec.alpha
-        assert cfg.problem.T == reference.spec.T
-        assert np.array_equal(cfg.problem.x0, reference.spec.x0)
-        assert cfg.problem.M2 == reference.spec.M2
-        assert cfg.solver.n == 256
-        assert cfg.solver.tol == 1e-9
-        assert cfg.solver.theta_override == 2.0
-        for t, x, y in [(0.0, 1.0, 1.0), (0.3, 1.2, -0.4), (0.5, 0.0, 2.0)]:
-            got = cfg.problem.rhs(np.array([[t]]), np.array([[x]]), np.array([[y]]))
-            want = reference.spec.rhs(np.array([[t]]), np.array([[x]]), np.array([[y]]))
-            assert got == pytest.approx(want, abs=1e-15)
-
-    def test_round_trip_pair(self, reference):
-        text = export_config(
-            reference, compare=get_fixture("comparison"), k_eta=1.1502
-        )
-        cfg = parse_config(text)
-        assert cfg.compare is not None
-        assert cfg.compare.alpha == reference.spec.alpha
-        assert cfg.compare.x0[0] == pytest.approx(1.0 - math.sqrt(math.pi) / 2.0)
-        assert cfg.k_eta == pytest.approx(1.1502)
-
-    def test_defaults_parse(self):
-        cfg = parse_config(export_config(reference_problem()))
-        assert cfg.solver.n == 1024
-        assert cfg.solver.max_iter == 200
-        assert cfg.solver.theta_override is None

@@ -75,7 +75,6 @@ class TestGridFunction:
         a = GridFunction.constant(grid, 3.0)
         b = GridFunction.constant(grid, 1.0)
         assert np.all((a - b).values == 2.0)
-        assert np.all((a + b).values == 4.0)
 
     def test_grid_mismatch(self):
         a = GridFunction.constant(UniformGrid(1.0, 2), 1.0)

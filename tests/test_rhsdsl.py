@@ -14,7 +14,6 @@ from fracpicard.rhsdsl import (
     Num,
     Var,
     as_rhs,
-    estimate_lipschitz,
     evaluate,
     parse,
     to_source,
@@ -387,37 +386,3 @@ class TestFaultParity:
         with pytest.raises(RhsEvaluationError, match=f"node {node} "):
             _eval_grid(spec, t, x, y)
 
-
-class TestEstimateLipschitz:
-    def test_identity_in_x(self):
-        est = estimate_lipschitz(parse("x"), T=0.5, box_radius=2.0, samples=400)
-        assert est.M1 == pytest.approx(0.0, abs=1e-12)
-        assert 1.0 <= est.M2 <= 1.2 + 1e-9
-        assert est.M3 == pytest.approx(0.0, abs=1e-12)
-
-    def test_absolute_value_in_y(self):
-        est = estimate_lipschitz(parse("abs(y)"), T=0.5, box_radius=2.0, samples=400)
-        assert 1.0 <= est.M3 <= 1.2 + 1e-9
-
-    def test_reference_rhs(self):
-        est = estimate_lipschitz(parse(REFERENCE_RHS), T=0.5, box_radius=3.0, samples=400)
-        assert 0.5 <= est.M2 <= 0.6 + 1e-9
-        assert 0.5 <= est.M3 <= 0.6 + 1e-9
-
-    def test_estimates_never_exceed_safety_scaled_truth(self):
-        # for C^1 pieces the sampled quotient cannot beat the true slope
-        est = estimate_lipschitz(parse("sin(3*x)"), T=0.5, box_radius=2.0, samples=300)
-        assert est.M2 <= 1.2 * 3.0 + 1e-9
-
-    def test_argument_validation(self):
-        tree = parse("x")
-        with pytest.raises(ValueError):
-            estimate_lipschitz(tree, T=0.0, box_radius=1.0, samples=200)
-        with pytest.raises(ValueError):
-            estimate_lipschitz(tree, T=1.0, box_radius=0.0, samples=200)
-        with pytest.raises(ValueError):
-            estimate_lipschitz(tree, T=1.0, box_radius=1.0, samples=99)
-
-    def test_eval_faults_report_sample_coordinates(self):
-        with pytest.raises(EvalError, match="while sampling at"):
-            estimate_lipschitz(parse("sqrt(x)"), T=0.5, box_radius=2.0, samples=200)

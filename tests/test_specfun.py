@@ -4,69 +4,11 @@ import numpy as np
 import pytest
 
 from fracpicard.errors import DomainError, FracpicardError, SeriesConvergenceError
-from fracpicard.specfun import (
-    SeriesControl,
-    bielecki_weight,
-    gamma,
-    mittag_leffler,
-    mittag_leffler_array,
-)
+from fracpicard.grid import UniformGrid
+from fracpicard.solver import _ml_weights, _weight_vector
+from fracpicard.specfun import mittag_leffler, mittag_leffler_array
 
 from oracles import erfc_identity, ml_series
-
-
-class TestGamma:
-    def test_classical_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-13)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-
-    def test_recurrence_on_log_grid(self):
-        for x in np.logspace(math.log10(0.5), math.log10(20.0), 100):
-            x = float(x)
-            assert abs(gamma(x + 1.0) - x * gamma(x)) <= 1e-12 * gamma(x + 1.0)
-
-    def test_accuracy_against_lgamma(self):
-        for x in np.logspace(-1, math.log10(50.0), 60):
-            x = float(x)
-            assert gamma(x) == pytest.approx(math.exp(math.lgamma(x)), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, 172.0, 1000.0])
-    def test_domain_errors(self, bad):
-        with pytest.raises(DomainError):
-            gamma(bad)
-
-    def test_domain_error_is_value_error(self):
-        # DomainError doubles as ValueError so generic callers can catch it.
-        with pytest.raises(ValueError):
-            gamma(-2.0)
-
-    def test_upper_edge_is_finite(self):
-        assert math.isfinite(gamma(171.0))
-
-
-class TestSeriesControl:
-    def test_defaults(self):
-        control = SeriesControl()
-        assert control.rel_tol == 1e-14
-        assert control.max_terms == 400
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-9, 1e-6, 1e-3])
-    def test_rejects_bad_rel_tol(self, rel_tol):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("max_terms", [0, 10, 49])
-    def test_rejects_small_budget(self, max_terms):
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=max_terms)
-
-    def test_custom_control_accepted(self):
-        control = SeriesControl(rel_tol=1e-8, max_terms=50)
-        assert mittag_leffler(0.5, 1.0, control) == pytest.approx(
-            erfc_identity(1.0), rel=1e-7
-        )
 
 
 class TestMittagLeffler:
@@ -159,13 +101,12 @@ class TestMittagLefflerArray:
             else:
                 assert value == expected, zk
 
-    def test_keeps_shape_and_control(self):
+    def test_keeps_shape(self):
         z = np.array([[0.5, 1.0], [2.0, 3.0]])
-        control = SeriesControl(rel_tol=1e-9, max_terms=100)
-        out = mittag_leffler_array(0.5, z, control)
+        out = mittag_leffler_array(0.5, z)
         assert out.shape == (2, 2)
         for zk, value in zip(z.ravel().tolist(), out.ravel().tolist()):
-            assert value == mittag_leffler(0.5, zk, control)
+            assert value == mittag_leffler(0.5, zk)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.5])
     def test_order_domain(self, alpha):
@@ -173,42 +114,40 @@ class TestMittagLefflerArray:
             mittag_leffler_array(alpha, np.array([0.5]))
 
     @pytest.mark.parametrize(
-        "z,control,error",
+        "z,error",
         [
-            ([0.5, 250.0, -7.0], None, DomainError),
-            ([0.5, 30.0, 250.0], SeriesControl(max_terms=50), SeriesConvergenceError),
+            ([0.5, 250.0, -7.0], DomainError),
+            ([0.5, 30.0, 250.0], SeriesConvergenceError),
         ],
     )
-    def test_strict_raises_the_scalar_error_of_the_first_failure(self, z, control, error):
+    def test_strict_raises_the_scalar_error_of_the_first_failure(self, z, error):
         with pytest.raises(error) as scalar:
-            mittag_leffler(0.5, z[1], control)
+            mittag_leffler(0.5, z[1])
         with pytest.raises(error) as array:
-            mittag_leffler_array(0.5, np.array(z), control, strict=True)
+            mittag_leffler_array(0.5, np.array(z), strict=True)
         assert str(array.value) == str(scalar.value)
 
 
 class TestBieleckiWeight:
+    """The norm weights ``E_alpha(theta * t**alpha)`` the solver divides by."""
+
     def test_at_time_zero(self):
-        assert bielecki_weight(0.5, 2.0, 0.0) == 1.0
+        assert _ml_weights(np.array([0.0]), 0.5, 2.0)[0] == 1.0
 
     def test_order_one_exponential(self):
-        assert bielecki_weight(1.0, 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
+        assert _ml_weights(np.array([1.0]), 1.0, 1.0)[0] == pytest.approx(math.e, rel=1e-12)
 
     def test_half_order_value(self):
         t = 0.5
         z = 2.0 * t**0.5
-        assert bielecki_weight(0.5, 2.0, t) == pytest.approx(erfc_identity(z), rel=1e-10)
+        assert _ml_weights(np.array([t]), 0.5, 2.0)[0] == pytest.approx(erfc_identity(z), rel=1e-10)
 
     def test_weight_at_least_one_and_nondecreasing(self):
-        ts = np.linspace(0.0, 0.5, 40)
-        values = [bielecki_weight(0.5, 2.0, float(t)) for t in ts]
+        values = _weight_vector(UniformGrid(0.5, 39), 0.5, 2.0).tolist()
         assert all(v >= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bielecki_weight(0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            bielecki_weight(0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            bielecki_weight(0.5, 2.0, -0.1)
+        for theta in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                _weight_vector(UniformGrid(0.5, 8), 0.5, theta)
